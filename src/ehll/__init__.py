@@ -17,7 +17,7 @@ from .analysis import (
     mvp_report,
     power_integrals,
 )
-from .hashing import BucketizedHash, HashedElement, bucketize, hash64, rho
+from .hashing import hash64, rho
 from .martingale import MartingaleCounter
 from .registers import BitArray, PackedRegisterArray
 from .serialization import deserialize, load, save, serialize
@@ -29,10 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitArray",
-    "BucketizedHash",
     "EhllSketch",
     "EhllTcSketch",
-    "HashedElement",
     "HllSketch",
     "HllTcSketch",
     "MartingaleCounter",
@@ -45,7 +43,6 @@ __all__ = [
     "asymptotic_constants",
     "beta_hll_m",
     "beta_m",
-    "bucketize",
     "deserialize",
     "ehll_kernel",
     "gamma_m",

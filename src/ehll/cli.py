@@ -16,22 +16,16 @@ import sys
 
 from . import analysis, oracle, serialization
 from .martingale import MartingaleCounter
-from .simulate import (
-    SKETCH_CLASSES,
-    SimulationConfig,
-    paper_scale,
-    rows_to_csv,
-    rows_to_svg,
-    simulate,
-)
+from .simulate import SimulationConfig, paper_scale, rows_to_csv, rows_to_svg, simulate
 
-KINDS = tuple(SKETCH_CLASSES)
+KINDS = tuple(serialization.SKETCHES)
 
 
 def _add_sketch_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sketch", choices=KINDS, default="ehll")
-    p.add_argument("--b", type=int, default=10, help="precision: m = 2^b registers")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=0,
+    # no argparse defaults (ehll, 10, 0): --load must see which flags were given
+    p.add_argument("--sketch", choices=KINDS)
+    p.add_argument("--b", type=int, help="precision: m = 2^b registers")
+    p.add_argument("--seed", type=lambda s: int(s, 0) & 0xFFFFFFFFFFFFFFFF,
                    help="64-bit unsigned hash seed")
 
 
@@ -47,11 +41,26 @@ def _iter_tokens(path: str):
             fh.close()
 
 
+def _resume(args):
+    """The sketch saved at ``--load``, refusing flags that contradict it."""
+    if args.martingale:
+        raise ValueError("--martingale cannot resume from --load: sketch files "
+                         "do not keep the running estimate")
+    sketch = serialization.load(args.load)
+    stored = {"sketch": sketch.kind, "b": sketch.m.bit_length() - 1, "seed": sketch.seed}
+    for name, value in stored.items():
+        given = getattr(args, name)
+        if given is not None and given != value:
+            raise ValueError(f"--{name} {given} does not match the loaded sketch ({value})")
+    return sketch
+
+
 def cmd_estimate(args) -> int:
     if args.load:
-        sketch = serialization.load(args.load)
+        sketch = _resume(args)
     else:
-        sketch = SKETCH_CLASSES[args.sketch](b=args.b, seed=args.seed)
+        sketch = serialization.SKETCHES[args.sketch or "ehll"](
+            b=10 if args.b is None else args.b, seed=args.seed or 0)
     if args.martingale:
         counter = MartingaleCounter(sketch)
         counter.insert_all(_iter_tokens(args.input))

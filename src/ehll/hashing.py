@@ -23,8 +23,6 @@ Two addressing modes exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -54,21 +52,6 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class HashedElement:
-    """A 64-bit digest of one stream element."""
-
-    raw: int
-
-
-@dataclass(frozen=True)
-class BucketizedHash:
-    """Hash split into a bucket address and a geometric rank."""
-
-    bucket: int
-    geo: int
-
-
 def _canonical_bytes(element) -> bytes:
     if isinstance(element, bytes):
         return element
@@ -81,20 +64,24 @@ def _canonical_bytes(element) -> bytes:
     raise TypeError(f"cannot hash element of type {type(element).__name__}")
 
 
-def hash64(element, seed: int = 0) -> HashedElement:
+def hash64(element, seed: int = 0) -> int:
     """Hash a byte sequence (or str / 64-bit int) to a 64-bit digest.
 
     Deterministic across runs and platforms: the input is absorbed in
     8-byte little-endian blocks (zero padded), followed by the byte
     length, each block passing through the mixer.
+
+    Elements hash as their canonical bytes, so these are one element
+    each: a ``str`` and its UTF-8 encoding (``"abc"`` and ``b"abc"``),
+    an int and its 8-byte little-endian form (taken modulo 2**64), and
+    ``bytes``/``bytearray``/``memoryview`` of equal content.
     """
     data = _canonical_bytes(element)
     state = mix64((seed ^ _SEED_TWEAK) & MASK64)
     for off in range(0, len(data), 8):
         block = int.from_bytes(data[off:off + 8], "little")
         state = mix64(state ^ block)
-    state = mix64(state ^ len(data))
-    return HashedElement(state)
+    return mix64(state ^ len(data))
 
 
 def hash64_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -130,16 +117,6 @@ def rho_array(y: np.ndarray, width: int) -> np.ndarray:
     ym1 = np.where(nonzero, y - _U(1), _U(0))
     trailing = np.bitwise_count((y ^ ym1) >> _U(1)).astype(np.int64)
     return np.where(nonzero, trailing + 1, np.int64(width + 1))
-
-
-def bucketize(h: HashedElement, b: int) -> BucketizedHash:
-    """Split a digest into (top ``b`` bits, rank of the low ``64-b`` bits)."""
-    if not 4 <= b <= 18:
-        raise ValueError(f"precision b must be in [4, 18], got {b}")
-    w = 64 - b
-    bucket = h.raw >> w
-    geo = rho(h.raw & ((1 << w) - 1), w)
-    return BucketizedHash(bucket, geo)
 
 
 def split_hash(raw: int, m: int) -> tuple[int, int]:

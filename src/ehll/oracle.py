@@ -21,16 +21,9 @@ from math import comb
 import numpy as np
 
 from .hashing import hash64, split_hash
-from .sketches import EhllSketch, HllSketch, PcsaSketch
+from .serialization import SKETCHES
+from .sketches import EhllSketch, HllSketch
 from .tailcut import EhllTcSketch, HllTcSketch, OFFSET_MAX
-
-SKETCH_TYPES = {
-    "pcsa": PcsaSketch,
-    "hll": HllSketch,
-    "ehll": EhllSketch,
-    "hll-tc": HllTcSketch,
-    "ehll-tc": EhllTcSketch,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +33,7 @@ def shadow_from_stream(elements, m: int, seed: int = 0) -> list[set[int]]:
     """Full occupancy record: the set of ranks ever seen, per bucket."""
     shadow: list[set[int]] = [set() for _ in range(m)]
     for e in elements:
-        bucket, geo = split_hash(hash64(e, seed).raw, m)
+        bucket, geo = split_hash(hash64(e, seed), m)
         shadow[bucket].add(geo)
     return shadow
 
@@ -196,8 +189,7 @@ def truncation_bound(n: int, K: int) -> float:
 def union_sketch(stream_a, stream_b, kind: str, b: int | None = None,
                  m: int | None = None, seed: int = 0):
     """Sketch of the concatenated stream: ground truth for merge tests."""
-    cls = SKETCH_TYPES[kind]
-    sketch = cls(b=b, m=m, seed=seed)
+    sketch = SKETCHES[kind](b=b, m=m, seed=seed)
     sketch.insert_all(stream_a)
     sketch.insert_all(stream_b)
     return sketch
@@ -223,7 +215,7 @@ def _cell_changes(sketch, j: int, k: int) -> bool:
         c1, c2 = sketch.ranks.get(j), sketch.bits.get(j)
         return k > c1 or (k == c1 - 1 and c2 == 0)
     if isinstance(sketch, HllSketch):
-        return k > sketch.registers.get(j)
+        return k > sketch.ranks.get(j)
     raise TypeError(f"unsupported sketch type {type(sketch).__name__}")
 
 

@@ -199,7 +199,3 @@ class BitArray:
     def __repr__(self) -> str:
         return f"BitArray(m={self.m})"
 
-
-def new(m: int, width: int, fill: int = 0) -> PackedRegisterArray:
-    """Construct a packed array with all registers equal to ``fill``."""
-    return PackedRegisterArray(m, width, fill)

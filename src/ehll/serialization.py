@@ -13,9 +13,10 @@ Layout (all integers little-endian):
 
 Payload sizes are implied exactly by (kind, b); deserialization rejects
 wrong magic, version, kind tag, or any length mismatch before touching
-the payload.  Only power-of-two sketches are serializable: the one-byte
-precision field cannot express the ad-hoc register counts used by
-matched-memory experiments.
+the payload, and then any cell state that no insert sequence can produce
+(see :func:`deserialize`).  Only power-of-two sketches are serializable:
+the one-byte precision field cannot express the ad-hoc register counts
+used by matched-memory experiments.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ from .tailcut import EhllTcSketch, HllTcSketch
 MAGIC = b"EHS1"
 VERSION = 1
 
-KIND_TAGS = {"pcsa": 1, "hll": 2, "ehll": 3, "hll-tc": 4, "ehll-tc": 5}
-TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
-_CLASSES = {
-    "pcsa": PcsaSketch,
-    "hll": HllSketch,
-    "ehll": EhllSketch,
-    "hll-tc": HllTcSketch,
-    "ehll-tc": EhllTcSketch,
-}
+#: The one kind registry: kind name -> class; the EHS1 tag is the position.
+SKETCHES = {cls.kind: cls for cls in
+            (PcsaSketch, HllSketch, EhllSketch, HllTcSketch, EhllTcSketch)}
+KIND_TAGS = {kind: tag for tag, kind in enumerate(SKETCHES, start=1)}
+TAG_KINDS = {tag: kind for kind, tag in KIND_TAGS.items()}
 
 
 class SketchFormatError(ValueError):
@@ -53,37 +50,32 @@ def _precision_of(sketch) -> int:
 
 
 def _payload_parts(sketch) -> list[np.ndarray]:
-    if isinstance(sketch, PcsaSketch):
-        return [sketch.bitmaps.buffer]
-    if isinstance(sketch, HllSketch):
-        return [sketch.registers.buffer]
-    if isinstance(sketch, EhllSketch):
-        return [sketch.ranks.buffer, sketch.bits.buffer]
-    if isinstance(sketch, HllTcSketch):
-        return [sketch.offsets.buffer]
-    if isinstance(sketch, EhllTcSketch):
-        return [sketch.offsets.buffer, sketch.bits.buffer]
-    raise TypeError(f"cannot serialize {type(sketch).__name__}")
+    return [getattr(sketch, name).buffer for name in sketch._arrays]
 
 
 def serialize(sketch) -> bytes:
     """Encode a sketch; ``deserialize(serialize(s)) == s`` bit-exactly."""
     b = _precision_of(sketch)
-    is_tc = isinstance(sketch, (HllTcSketch, EhllTcSketch))
     header = bytearray(MAGIC)
     header.append(VERSION)
     header.append(KIND_TAGS[sketch.kind])
     header.append(b)
     header += (sketch.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    if is_tc:
-        if not 0 <= sketch.base <= 0xFF:
-            raise ValueError(f"base {sketch.base} does not fit the header byte")
-        header.append(sketch.base)
+    for name in sketch._header:
+        value = getattr(sketch, name)
+        if not 0 <= value <= 0xFF:
+            raise ValueError(f"{name} {value} does not fit the header byte")
+        header.append(value)
     return bytes(header) + b"".join(part.tobytes() for part in _payload_parts(sketch))
 
 
 def deserialize(data: bytes):
-    """Decode a sketch file, rejecting malformed input without partial reads."""
+    """Decode a sketch file, rejecting malformed input without partial reads.
+
+    Beyond the byte layout, the decoded state must be one that inserts can
+    produce: ranks within the hash width, no neighbor bit of 0 below rank
+    2, and a TailCut zero offset.  Anything else raises SketchFormatError.
+    """
     if len(data) < 15:
         raise SketchFormatError("file shorter than the fixed header")
     if data[:4] != MAGIC:
@@ -95,15 +87,13 @@ def deserialize(data: bytes):
         raise SketchFormatError(f"unknown sketch kind tag {tag}")
     if not 4 <= b <= 18:
         raise SketchFormatError(f"precision {b} out of range [4, 18]")
-    kind = TAG_KINDS[tag]
     seed = int.from_bytes(data[7:15], "little")
-    pos = 15
-    sketch = _CLASSES[kind](b=b, seed=seed)
-    if kind in ("hll-tc", "ehll-tc"):
-        if len(data) < 16:
-            raise SketchFormatError("missing base counter byte")
-        sketch.base = data[15]
-        pos = 16
+    sketch = SKETCHES[TAG_KINDS[tag]](b=b, seed=seed)
+    pos = 15 + len(sketch._header)
+    if len(data) < pos:
+        raise SketchFormatError(f"file shorter than the {sketch.kind} header")
+    for i, name in enumerate(sketch._header):
+        setattr(sketch, name, data[15 + i])
 
     parts = _payload_parts(sketch)
     expected = pos + sum(len(p) for p in parts)
@@ -115,10 +105,8 @@ def deserialize(data: bytes):
         part[:] = raw
         pos += len(part)
 
-    if hasattr(sketch, "resync_term_sum"):
-        sketch.resync_term_sum()
-    if hasattr(sketch, "_zero_offsets"):
-        sketch._zero_offsets = int(np.count_nonzero(sketch.offsets.values() == 0))
+    if not sketch._loaded():
+        raise SketchFormatError(f"{sketch.kind} payload holds a state no insert can produce")
     return sketch
 
 

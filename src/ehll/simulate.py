@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
 from .hashing import (
     MASK64,
     _SEED_TWEAK,
@@ -41,24 +40,9 @@ from .hashing import (
     stream_u64,
 )
 from .martingale import MartingaleCounter
-from .sketches import (
-    LC_THRESHOLD,
-    EhllSketch,
-    HllSketch,
-    PcsaSketch,
-    ehll_indicator_from_cells,
-    hll_indicator_from_registers,
-    _cells_from_presence,
-)
-from .tailcut import EhllTcSketch, HllTcSketch
-
-SKETCH_CLASSES = {
-    "pcsa": PcsaSketch,
-    "hll": HllSketch,
-    "ehll": EhllSketch,
-    "hll-tc": HllTcSketch,
-    "ehll-tc": EhllTcSketch,
-}
+from .serialization import SKETCHES
+from .sketches import _cells_from_presence, cell_terms, estimate_bitmap, estimate_cells
+from .tailcut import _TailCutBase
 
 #: matched-memory register multipliers relative to the two-field baseline
 MEMORY_MATCH = {"hll": (7, 6), "hll-tc": (5, 4), "ehll": (1, 1), "ehll-tc": (1, 1)}
@@ -85,7 +69,7 @@ class SimulationConfig:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         for kind in self.kinds:
-            if kind not in SKETCH_CLASSES:
+            if kind not in SKETCHES:
                 raise ValueError(f"unknown sketch kind {kind!r}")
             if self.match_memory and kind not in MEMORY_MATCH:
                 raise ValueError(f"matched-memory mode does not size {kind!r}")
@@ -125,28 +109,6 @@ def trial_stream_seed(seed: int, trial: int) -> int:
 # ---------------------------------------------------------------------------
 # vectorized trial paths
 
-def _estimate_from_presence(kind: str, present: np.ndarray, m: int,
-                            asymptotic: bool) -> float:
-    if kind == "pcsa":
-        rows = present
-        all_ones = rows.all(axis=1)
-        first_zero = np.where(all_ones, rows.shape[1], np.argmin(rows, axis=1))
-        return m / analysis.PCSA_PHI * 2.0 ** float(first_zero.mean())
-    c1, c2 = _cells_from_presence(present)
-    if kind == "hll":
-        alpha = 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(m)
-        raw = alpha * m * m * hll_indicator_from_registers(c1)
-    else:
-        gamma = (analysis.asymptotic_constants()[0] if asymptotic
-                 else analysis.gamma_m(m))
-        raw = gamma * m * m * ehll_indicator_from_cells(c1, c2)
-    if raw < LC_THRESHOLD * m:
-        v = int(np.count_nonzero(c1 == 0))
-        if v > 0:
-            return analysis.linear_counting(m, v)
-    return raw
-
-
 def _mergeable_trial(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
                      positions: np.ndarray, width: int, asymptotic: bool) -> np.ndarray:
     lanes = width + 1
@@ -157,13 +119,19 @@ def _mergeable_trial(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
     for i, pos in enumerate(positions):
         flat |= np.bincount(key[prev:pos], minlength=m * lanes).astype(bool)
         prev = pos
-        out[i] = _estimate_from_presence(kind, flat.reshape(m, lanes), m, asymptotic)
+        present = flat.reshape(m, lanes)
+        if kind == "pcsa":
+            out[i] = estimate_bitmap(present).value
+        else:
+            k, x = _cells_from_presence(present)
+            x = x if SKETCHES[kind].neighbor_bit else None
+            out[i] = estimate_cells(m, k, x, asymptotic).value
     return out
 
 
 def _tailcut_trial(kind: str, m: int, seed: int, bucket: np.ndarray,
                    geo: np.ndarray, positions: np.ndarray, asymptotic: bool) -> np.ndarray:
-    sketch = SKETCH_CLASSES[kind](m=m, seed=seed)
+    sketch = SKETCHES[kind](m=m, seed=seed)
     out = np.empty(len(positions))
     prev = 0
     for i, pos in enumerate(positions):
@@ -184,7 +152,7 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
     reconstructing each cell's state just before and after, and prefix
     summing the change-probability deltas in arrival order.
     """
-    two_field = kind == "ehll"
+    two_field = SKETCHES[kind].neighbor_bit
     n = len(bucket)
     order = np.argsort(bucket, kind="stable")
     bs, gs, arrival = bucket[order], geo[order], order
@@ -229,11 +197,10 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
             ev_start[0] = True
             ev_start[1:] = ev_bucket[1:] != ev_bucket[:-1]
             x_before[ev_start] = 1  # empty cell is (0, 1)
-        term_after = np.exp2(-k_after.astype(float)) * (3.0 - 2.0 * x_after)
-        term_before = np.exp2(-k_before.astype(float)) * (3.0 - 2.0 * x_before)
     else:
-        term_after = np.exp2(-k_after.astype(float))
-        term_before = np.exp2(-k_before.astype(float))
+        x_after = x_before = None
+    term_after = cell_terms(k_after, x_after)
+    term_before = cell_terms(k_before, x_before)
 
     ev_arrival = arrival[events]
     if len(ev_arrival) == 0:
@@ -259,7 +226,7 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
 
 def _martingale_slow_trial(kind: str, m: int, seed: int, elements: np.ndarray,
                            positions: np.ndarray) -> np.ndarray:
-    counter = MartingaleCounter(SKETCH_CLASSES[kind](m=m, seed=seed))
+    counter = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
     out = np.empty(len(positions))
     prev = 0
     for i, pos in enumerate(positions):
@@ -274,13 +241,14 @@ def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
               trial: int, martingale: bool, asymptotic: bool) -> np.ndarray:
     """Checkpoint estimates for one seeded trial of one sketch configuration."""
     elements = stream_u64(n, trial_stream_seed(seed, trial))
-    if martingale and kind in ("hll-tc", "ehll-tc"):
+    tailcut = issubclass(SKETCHES[kind], _TailCutBase)
+    if martingale and tailcut:
         return _martingale_slow_trial(kind, m, seed, elements, positions)
     hashed = hash64_u64_array(elements, seed)
     bucket, geo = split_hash_array(hashed, m)
     if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
-    if kind in ("hll-tc", "ehll-tc"):
+    if tailcut:
         return _tailcut_trial(kind, m, seed, bucket, geo, positions, asymptotic)
     return _mergeable_trial(kind, m, bucket, geo, positions, geo_width(m), asymptotic)
 
@@ -318,7 +286,7 @@ def simulate(config: SimulationConfig) -> list[SimulationRow]:
     rows: list[SimulationRow] = []
     for kind in config.kinds:
         m = config.registers_for(kind)
-        mem = SKETCH_CLASSES[kind](m=m, seed=config.seed).memory_bits()
+        mem = SKETCHES[kind](m=m, seed=config.seed).memory_bits()
         label = f"martingale-{kind}" if config.martingale else kind
         est = _estimates_matrix(config, kind)
         for i, pos in enumerate(positions):

@@ -1,4 +1,4 @@
-"""The three mergeable sketches: bitmap (PCSA), HyperLogLog, ExtendedHyperLogLog.
+"""The mergeable sketches: bitmap (PCSA), HyperLogLog, ExtendedHyperLogLog.
 
 All three are duplicate-insensitive and order-independent: the state is a
 pure function of the *set* of (bucket, rank) pairs seen, which is what
@@ -15,6 +15,13 @@ State transitions on rank ``r``:
     r == k - 1 and bit=0 -> (k, 1)     neighbor coupon filled in
     otherwise            -> unchanged
 
+A HyperLogLog register is the same cell with the bit absent and read as
+1: the rule reduces to ``r > k -> r`` and the term ``2^-k (3 - 2x)`` to
+``2^-k``.  So :class:`_RankSketch` writes the rule, its terms, union,
+batch reduction and estimator once, switched by ``neighbor_bit``, over a
+storage codec: plain 6-bit ranks here, a shared base plus 4-bit offsets
+in :mod:`ehll.tailcut`.
+
 Each sketch maintains a compensated running sum of its per-cell
 change-probability terms so ``change_probability()`` is O(1); the
 indicator methods recompute the exact sum from the registers.
@@ -25,6 +32,7 @@ threads is fine since ``merge`` never mutates its operands.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -57,12 +65,6 @@ class RawEstimate:
         return self.value
 
 
-def _validate_m(m: int) -> int:
-    if m < 1:
-        raise ValueError("register count must be >= 1")
-    return m
-
-
 def _resolve_size(b: int | None, m: int | None) -> int:
     if (b is None) == (m is None):
         raise ValueError("specify exactly one of b (power-of-two) or m")
@@ -70,242 +72,51 @@ def _resolve_size(b: int | None, m: int | None) -> int:
         if not 4 <= b <= 18:
             raise ValueError(f"precision b must be in [4, 18], got {b}")
         return 1 << b
-    return _validate_m(m)
+    if m < 1:
+        raise ValueError("register count must be >= 1")
+    return m
 
 
-class _KahanSum:
-    """Compensated accumulator for the running change-probability sum."""
+# ---------------------------------------------------------------------------
+# the cell rule on explicit arrays
 
-    __slots__ = ("value", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self.value = value
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self.value + y
-        self._c = (t - self.value) - y
-        self.value = t
-
-    def reset(self, value: float) -> None:
-        self.value = value
-        self._c = 0.0
-
-    def copy(self) -> "_KahanSum":
-        dup = _KahanSum(self.value)
-        dup._c = self._c
-        return dup
+def cell_terms(k: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell change-probability terms ``2^-k (3 - 2x)``; ``2^-k`` without bits."""
+    terms = np.exp2(-np.asarray(k, dtype=float))
+    if x is not None:
+        terms *= 3.0 - 2.0 * np.asarray(x, dtype=float)
+    return terms
 
 
-class _SketchBase:
-    """Shared plumbing: hashing, merge guards, memory accounting."""
-
-    kind: str = ""
-
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        self.m = _resolve_size(b, m)
-        self.seed = seed
-        self.width = geo_width(self.m)
-
-    def _split(self, element) -> tuple[int, int]:
-        return split_hash(hash64(element, self.seed).raw, self.m)
-
-    def _split_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return split_hash_array(hash64_u64_array(values, self.seed), self.m)
-
-    def _check_mergeable(self, other) -> None:
-        if type(self) is not type(other):
-            raise ValueError(f"cannot merge {self.kind} with {other.kind}")
-        if self.m != other.m:
-            raise ValueError(f"register count mismatch: {self.m} != {other.m}")
-        if self.seed != other.seed:
-            raise ValueError("hash seed mismatch")
-
-    def insert_all(self, elements) -> int:
-        """Insert an iterable of elements; returns the number of state changes."""
-        changed = 0
-        for e in elements:
-            changed += self.insert(e)
-        return changed
-
-    def insert_batch(self, values: np.ndarray) -> None:
-        """Vectorized insert of a uint64 element array (bit-identical result)."""
-        raise NotImplementedError
-
-    def insert(self, element) -> bool:
-        raise NotImplementedError
+def cell_indicator(k: np.ndarray, x: np.ndarray | None = None) -> float:
+    """Indicator of explicit cells of any size: Z without bits, Y with them."""
+    return 1.0 / float(cell_terms(k, x).sum())
 
 
-def _shadow_counts(bucket: np.ndarray, geo: np.ndarray, m: int, width: int) -> np.ndarray:
-    """Per-bucket occupancy of each rank lane, as an (m, width+1) bool array."""
-    lanes = width + 1
-    key = bucket * lanes + (geo - 1)
-    return (np.bincount(key, minlength=m * lanes) > 0).reshape(m, lanes)
+def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
+                   asymptotic: bool = False) -> RawEstimate:
+    """Bias-corrected estimate of ``m`` explicit cells, linear counting below 2.5 m.
+
+    Max-rank cells (``x`` is None) use ``alpha_m``, two-field cells
+    ``gamma_m``; ``asymptotic`` swaps in the large-m limits.
+    """
+    if x is None:
+        bias = 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(m)
+    else:
+        bias = analysis.asymptotic_constants()[0] if asymptotic else analysis.gamma_m(m)
+    raw = bias * m * m * cell_indicator(k, x)
+    if raw < LC_THRESHOLD * m:
+        v = int(np.count_nonzero(np.asarray(k) == 0))
+        if v > 0:
+            return RawEstimate(analysis.linear_counting(m, v), "linear-counting")
+    return RawEstimate(raw, "raw")
 
 
-def _cells_from_presence(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derive (max rank, neighbor bit) per bucket from a rank-presence matrix."""
+def estimate_bitmap(present: np.ndarray) -> RawEstimate:
+    """Bitmap (PCSA) estimate from a (buckets, lanes) rank-presence matrix."""
     m, lanes = present.shape
-    any_set = present.any(axis=1)
-    c1 = np.where(any_set, lanes - np.argmax(present[:, ::-1], axis=1), 0)
-    neighbor = present[np.arange(m), np.maximum(c1 - 2, 0)]
-    c2 = np.where(c1 <= 1, 1, neighbor.astype(np.int64))
-    return c1.astype(np.int64), c2
-
-
-class PcsaSketch(_SketchBase):
-    """Stochastic-averaged bitmap sketch: one rank-occupancy bitmap per bucket."""
-
-    kind = "pcsa"
-
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
-        self.L = self.width + 1
-        self.bitmaps = BitArray(self.m * self.L)
-
-    def insert(self, element) -> bool:
-        bucket, geo = self._split(element)
-        return self._insert_bg(bucket, geo)
-
-    def _insert_bg(self, bucket: int, geo: int) -> bool:
-        idx = bucket * self.L + (geo - 1)
-        if self.bitmaps.get(idx):
-            return False
-        self.bitmaps.set(idx, 1)
-        return True
-
-    def insert_batch(self, values: np.ndarray) -> None:
-        bucket, geo = self._split_batch(values)
-        self._insert_bg_batch(bucket, geo)
-
-    def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        present = _shadow_counts(bucket, geo, self.m, self.width)
-        self.bitmaps.set_values(self.bitmaps.values() | present.reshape(-1))
-
-    def _first_zero_indexes(self) -> np.ndarray:
-        rows = self.bitmaps.values().reshape(self.m, self.L).astype(bool)
-        all_ones = rows.all(axis=1)
-        return np.where(all_ones, self.L, np.argmin(rows, axis=1))
-
-    def estimate(self) -> RawEstimate:
-        mean_r = float(self._first_zero_indexes().mean())
-        return RawEstimate(self.m / analysis.PCSA_PHI * 2.0 ** mean_r, "raw")
-
-    def merge(self, other: "PcsaSketch") -> "PcsaSketch":
-        self._check_mergeable(other)
-        out = self.copy()
-        out.bitmaps.or_with(other.bitmaps)
-        return out
-
-    def memory_bits(self) -> int:
-        return self.m * self.L
-
-    def copy(self) -> "PcsaSketch":
-        dup = PcsaSketch.__new__(PcsaSketch)
-        dup.m, dup.seed, dup.width, dup.L = self.m, self.seed, self.width, self.L
-        dup.bitmaps = self.bitmaps.copy()
-        return dup
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PcsaSketch)
-            and (self.m, self.seed) == (other.m, other.seed)
-            and self.bitmaps == other.bitmaps
-        )
-
-
-class HllSketch(_SketchBase):
-    """Max-rank sketch with 6-bit packed registers."""
-
-    kind = "hll"
-
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
-        self.registers = PackedRegisterArray(self.m, REGISTER_WIDTH)
-        self._term_sum = _KahanSum(float(self.m))
-
-    def insert(self, element) -> bool:
-        bucket, geo = self._split(element)
-        return self._insert_bg(bucket, geo)
-
-    def _insert_bg(self, bucket: int, geo: int) -> bool:
-        old = self.registers.get(bucket)
-        if geo <= old:
-            return False
-        self.registers.set(bucket, geo)
-        self._term_sum.add(math.ldexp(1.0, -geo) - math.ldexp(1.0, -old))
-        return True
-
-    def insert_batch(self, values: np.ndarray) -> None:
-        bucket, geo = self._split_batch(values)
-        self._insert_bg_batch(bucket, geo)
-
-    def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        present = _shadow_counts(bucket, geo, self.m, self.width)
-        batch_max, _ = _cells_from_presence(present)
-        self.registers.set_values(np.maximum(self.registers.values(), batch_max))
-        self.resync_term_sum()
-
-    def indicator(self) -> float:
-        """Harmonic indicator Z: inverse sum of 2^-register."""
-        return 1.0 / float(np.exp2(-self.registers.values().astype(float)).sum())
-
-    def change_probability(self) -> float:
-        """Probability that inserting a new distinct element changes the sketch."""
-        return self._term_sum.value / self.m
-
-    def resync_term_sum(self) -> None:
-        """Recompute the running change-probability sum exactly from registers."""
-        self._term_sum.reset(float(np.exp2(-self.registers.values().astype(float)).sum()))
-
-    def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        alpha = 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(self.m)
-        raw = alpha * self.m * self.m * self.indicator()
-        if raw < LC_THRESHOLD * self.m:
-            v = self.registers.zero_count()
-            if v > 0:
-                return RawEstimate(analysis.linear_counting(self.m, v), "linear-counting")
-        return RawEstimate(raw, "raw")
-
-    def merge(self, other: "HllSketch") -> "HllSketch":
-        self._check_mergeable(other)
-        out = self.copy()
-        out.registers.set_values(np.maximum(self.registers.values(), other.registers.values()))
-        out.resync_term_sum()
-        return out
-
-    def memory_bits(self) -> int:
-        return REGISTER_WIDTH * self.m
-
-    def copy(self) -> "HllSketch":
-        dup = HllSketch.__new__(HllSketch)
-        dup.m, dup.seed, dup.width = self.m, self.seed, self.width
-        dup.registers = self.registers.copy()
-        dup._term_sum = self._term_sum.copy()
-        return dup
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HllSketch)
-            and (self.m, self.seed) == (other.m, other.seed)
-            and self.registers == other.registers
-        )
-
-
-def ehll_cell_terms(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Per-cell change-probability terms ``2^-k (3 - 2x)`` (empty cell -> 1)."""
-    return np.exp2(-np.asarray(c1, dtype=float)) * (3.0 - 2.0 * np.asarray(c2, dtype=float))
-
-
-def ehll_indicator_from_cells(c1: np.ndarray, c2: np.ndarray) -> float:
-    """Indicator Y of an explicit (rank, bit) cell array of any size."""
-    return 1.0 / float(ehll_cell_terms(c1, c2).sum())
-
-
-def hll_indicator_from_registers(c: np.ndarray) -> float:
-    """Indicator Z of an explicit register array of any size."""
-    return 1.0 / float(np.exp2(-np.asarray(c, dtype=float)).sum())
+    first_zero = np.where(present.all(axis=1), lanes, np.argmin(present, axis=1))
+    return RawEstimate(m / analysis.PCSA_PHI * 2.0 ** float(first_zero.mean()), "raw")
 
 
 def merge_ehll_cells(
@@ -336,97 +147,282 @@ def merge_ehll_cells(
     return k_hi, x
 
 
-class EhllSketch(_SketchBase):
-    """Two-field sketch: 6-bit max-rank registers plus one neighbor bit per cell."""
+def _shadow_counts(bucket: np.ndarray, geo: np.ndarray, m: int, width: int) -> np.ndarray:
+    """Per-bucket occupancy of each rank lane, as an (m, width+1) bool array."""
+    lanes = width + 1
+    key = bucket * lanes + (geo - 1)
+    return (np.bincount(key, minlength=m * lanes) > 0).reshape(m, lanes)
 
-    kind = "ehll"
+
+def _cells_from_presence(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derive (max rank, neighbor bit) per bucket from a rank-presence matrix."""
+    m, lanes = present.shape
+    any_set = present.any(axis=1)
+    c1 = np.where(any_set, lanes - np.argmax(present[:, ::-1], axis=1), 0)
+    neighbor = present[np.arange(m), np.maximum(c1 - 2, 0)]
+    c2 = np.where(c1 <= 1, 1, neighbor.astype(np.int64))
+    return c1.astype(np.int64), c2
+
+
+# ---------------------------------------------------------------------------
+# sketch classes
+
+class _SketchBase:
+    """Shared plumbing: hashing, merge guards, copy, equality, memory accounting.
+
+    ``_arrays`` names the packed arrays holding the state, in EHS1 payload
+    order; ``_header`` names the one-byte fields the EHS1 header carries.
+    """
+
+    kind: str = ""
+    _arrays: tuple[str, ...] = ()
+    _header: tuple[str, ...] = ()
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
-        self.ranks = PackedRegisterArray(self.m, REGISTER_WIDTH)
-        self.bits = BitArray(self.m, fill=1)
-        self._term_sum = _KahanSum(float(self.m))
+        self.m = _resolve_size(b, m)
+        self.seed = seed
+        self.width = geo_width(self.m)
 
-    def _cell(self, j: int) -> tuple[int, int]:
-        return self.ranks.get(j), self.bits.get(j)
+    def _split(self, element) -> tuple[int, int]:
+        return split_hash(hash64(element, self.seed), self.m)
+
+    def _split_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return split_hash_array(hash64_u64_array(values, self.seed), self.m)
+
+    def _check_mergeable(self, other) -> None:
+        if type(self) is not type(other):
+            raise ValueError(f"cannot merge {self.kind} with {other.kind}")
+        if self.m != other.m:
+            raise ValueError(f"register count mismatch: {self.m} != {other.m}")
+        if self.seed != other.seed:
+            raise ValueError("hash seed mismatch")
+
+    def insert_all(self, elements) -> int:
+        """Insert an iterable of elements; returns the number of state changes."""
+        changed = 0
+        for e in elements:
+            changed += self.insert(e)
+        return changed
 
     def insert(self, element) -> bool:
+        """Insert one element (bytes, str or 64-bit int); True if the state changed."""
         bucket, geo = self._split(element)
         return self._insert_bg(bucket, geo)
 
+    def insert_batch(self, values: np.ndarray) -> None:
+        """Vectorized insert of an integer element array (bit-identical result)."""
+        values = np.asarray(values)
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"insert_batch needs an integer array, got {values.dtype}")
+        bucket, geo = self._split_batch(values)
+        self._insert_bg_batch(bucket, geo)
+
+    def _loaded(self) -> bool:
+        """Whether inserts can produce a decoded state; if so, rebuild derived state."""
+        return True
+
+    def memory_bits(self) -> int:
+        return sum(getattr(self, name).memory_bits() for name in self._arrays)
+
+    def copy(self):
+        dup = copy.copy(self)
+        for name in self._arrays:
+            setattr(dup, name, getattr(self, name).copy())
+        return dup
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in ("m", "seed", *self._header, *self._arrays))
+
+
+class PcsaSketch(_SketchBase):
+    """Stochastic-averaged bitmap sketch: one rank-occupancy bitmap per bucket."""
+
+    kind = "pcsa"
+    _arrays = ("bitmaps",)
+
+    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
+        super().__init__(b, m, seed)
+        self.L = self.width + 1
+        self.bitmaps = BitArray(self.m * self.L)
+
+    # each kind owns its entry points, so instrumentation can wrap them per kind
+    insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
+
     def _insert_bg(self, bucket: int, geo: int) -> bool:
-        k, x = self._cell(bucket)
-        if geo == k + 1:
-            new_k, new_x = geo, 1
-        elif geo > k + 1:
-            new_k, new_x = geo, 0
+        idx = bucket * self.L + (geo - 1)
+        if self.bitmaps.get(idx):
+            return False
+        self.bitmaps.set(idx, 1)
+        return True
+
+    def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        present = _shadow_counts(bucket, geo, self.m, self.width)
+        self.bitmaps.set_values(self.bitmaps.values() | present.reshape(-1))
+
+    def estimate(self) -> RawEstimate:
+        return estimate_bitmap(self.bitmaps.values().reshape(self.m, self.L).astype(bool))
+
+    def merge(self, other: "PcsaSketch") -> "PcsaSketch":
+        self._check_mergeable(other)
+        out = self.copy()
+        out.bitmaps.or_with(other.bitmaps)
+        return out
+
+
+class _RankSketch(_SketchBase):
+    """The cell rule over a rank codec; this class is the plain 6-bit codec.
+
+    A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
+    (one cell), ``effective_values``/``_set_ranks`` (all cells), and may
+    refine ``_clamp``, ``_term``/``_terms``, ``_after_insert``, ``_load``,
+    ``_rebuild`` and ``_loaded``.  Neighbor bits live in ``bits``.
+    """
+
+    neighbor_bit = False
+
+    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
+        super().__init__(b, m, seed)
+        self._clear()
+        if self.neighbor_bit:
+            self.bits = BitArray(self.m, fill=1)
+        # running sum of the cell terms, Kahan-compensated by _sum_err
+        self._sum, self._sum_err = float(self.m), 0.0
+
+    # -- plain codec --------------------------------------------------------
+
+    def _clear(self) -> None:
+        self.ranks = PackedRegisterArray(self.m, REGISTER_WIDTH)
+
+    def _get_rank(self, j: int) -> int:
+        return self.ranks.get(j)
+
+    def _set_rank(self, j: int, k: int) -> None:
+        self.ranks.set(j, k)
+
+    def effective_values(self) -> np.ndarray:
+        """Stored rank of every cell."""
+        return self.ranks.values()
+
+    def _set_ranks(self, k: np.ndarray) -> None:
+        self.ranks.set_values(k)
+
+    def _clamp(self, k: int, x: int) -> tuple[int, int]:
+        return k, x
+
+    def _term(self, k: int, x: int) -> float:
+        return math.ldexp(3 - 2 * x, -k)
+
+    def _terms(self, k: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+        return cell_terms(k, x)
+
+    def _after_insert(self, k: int, new_k: int) -> None:
+        pass
+
+    def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        """Replace every cell by a merged (rank, bit) state."""
+        self._store(k, x)
+        self._reset_sum(k, x)
+
+    def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        """Recompute derived state after a batch stored the cells ``(k, x)``."""
+        self._reset_sum(k, x)
+
+    # -- the rule -----------------------------------------------------------
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
+        return self.effective_values(), (self.bits.values() if self.neighbor_bit else None)
+
+    def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        self._set_ranks(k)
+        if x is not None:
+            self.bits.set_values(x)
+
+    def _union(self, k_a, x_a, k_b, x_b) -> tuple[np.ndarray, np.ndarray | None]:
+        if self.neighbor_bit:
+            return merge_ehll_cells(k_a, x_a, k_b, x_b)
+        return np.maximum(k_a, k_b), None
+
+    def _insert_bg(self, bucket: int, geo: int) -> bool:
+        k = self._get_rank(bucket)
+        x = self.bits.get(bucket) if self.neighbor_bit else 1
+        if geo > k:
+            new_k, new_x = self._clamp(geo, int(geo == k + 1 or not self.neighbor_bit))
         elif geo == k - 1 and x == 0:
             new_k, new_x = k, 1
         else:
             return False
-        self.ranks.set(bucket, new_k)
-        self.bits.set(bucket, new_x)
-        self._term_sum.add(
-            math.ldexp(3 - 2 * new_x, -new_k) - math.ldexp(3 - 2 * x, -k))
+        if new_k == k and new_x == x:
+            return False  # a saturated cell cannot move further
+        old_term = self._term(k, x)
+        self._set_rank(bucket, new_k)
+        if self.neighbor_bit:
+            self.bits.set(bucket, new_x)
+        y = self._term(new_k, new_x) - old_term - self._sum_err
+        t = self._sum + y
+        self._sum_err = (t - self._sum) - y
+        self._sum = t
+        self._after_insert(k, new_k)
         return True
 
-    def insert_batch(self, values: np.ndarray) -> None:
-        bucket, geo = self._split_batch(values)
-        self._insert_bg_batch(bucket, geo)
-
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        present = _shadow_counts(bucket, geo, self.m, self.width)
-        k_new, x_new = _cells_from_presence(present)
-        k, x = merge_ehll_cells(self.ranks.values(), self.bits.values(), k_new, x_new)
-        self.ranks.set_values(k)
-        self.bits.set_values(x)
-        self.resync_term_sum()
+        # the batch's own cells, unioned in: exact because cells are order-free
+        k, x = _cells_from_presence(_shadow_counts(bucket, geo, self.m, self.width))
+        k, x = self._union(*self._cells(), k, x)
+        self._store(k, x)
+        self._rebuild(k, x)
+
+    def _loaded(self) -> bool:
+        k, x = self._cells()
+        bad = k > self.width + 1
+        if x is not None:
+            bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
+        if bad.any():
+            return False
+        self._reset_sum(k, x)
+        return True
 
     def indicator(self) -> float:
-        return ehll_indicator_from_cells(self.ranks.values(), self.bits.values())
+        """Harmonic indicator: inverse sum of the per-cell terms."""
+        return cell_indicator(*self._cells())
 
     def change_probability(self) -> float:
-        return self._term_sum.value / self.m
+        """Probability that inserting a new distinct element changes the sketch."""
+        return self._sum / self.m
 
     def resync_term_sum(self) -> None:
-        self._term_sum.reset(
-            float(ehll_cell_terms(self.ranks.values(), self.bits.values()).sum()))
+        """Recompute the running change-probability sum exactly from the cells."""
+        self._reset_sum(*self._cells())
+
+    def _reset_sum(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        self._sum, self._sum_err = float(self._terms(k, x).sum()), 0.0
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        gamma = analysis.asymptotic_constants()[0] if asymptotic else analysis.gamma_m(self.m)
-        raw = gamma * self.m * self.m * self.indicator()
-        if raw < LC_THRESHOLD * self.m:
-            v = self.ranks.zero_count()
-            if v > 0:
-                return RawEstimate(analysis.linear_counting(self.m, v), "linear-counting")
-        return RawEstimate(raw, "raw")
+        k, x = self._cells()
+        return estimate_cells(self.m, k, x, asymptotic)
 
-    def merge(self, other: "EhllSketch") -> "EhllSketch":
+    def merge(self, other):
         self._check_mergeable(other)
-        k, x = merge_ehll_cells(
-            self.ranks.values(), self.bits.values(),
-            other.ranks.values(), other.bits.values())
         out = self.copy()
-        out.ranks.set_values(k)
-        out.bits.set_values(x)
-        out.resync_term_sum()
+        out._load(*self._union(*self._cells(), *other._cells()))
         return out
 
-    def memory_bits(self) -> int:
-        return (REGISTER_WIDTH + 1) * self.m
 
-    def copy(self) -> "EhllSketch":
-        dup = EhllSketch.__new__(EhllSketch)
-        dup.m, dup.seed, dup.width = self.m, self.seed, self.width
-        dup.ranks = self.ranks.copy()
-        dup.bits = self.bits.copy()
-        dup._term_sum = self._term_sum.copy()
-        return dup
+class HllSketch(_RankSketch):
+    """Max-rank sketch with 6-bit packed registers."""
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EhllSketch)
-            and (self.m, self.seed) == (other.m, other.seed)
-            and self.ranks == other.ranks
-            and self.bits == other.bits
-        )
+    kind = "hll"
+    _arrays = ("ranks",)
+    insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
+    merge, estimate = _RankSketch.merge, _RankSketch.estimate
+
+
+class EhllSketch(_RankSketch):
+    """Two-field sketch: 6-bit max-rank registers plus one neighbor bit per cell."""
+
+    kind = "ehll"
+    neighbor_bit = True
+    _arrays = ("ranks", "bits")
+    insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
+    merge, estimate = _RankSketch.merge, _RankSketch.estimate

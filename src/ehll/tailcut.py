@@ -1,12 +1,13 @@
 """TailCut variants: a shared base counter plus 4-bit per-cell offsets.
 
-The stored effective value of cell ``j`` is ``base + offset[j]``; an
-offset of 15 means "saturated at base + 15" and the cell is treated as
-that ceiling everywhere (estimates and change probabilities are
-deterministic functions of the stored state, never of lost history).
-After any insert that lifts the last zero offset, the common minimum is
-promoted into the base and all offsets drop by it, which never changes
-an effective value.
+TailCut is a storage codec under the cell rule of :mod:`ehll.sketches`:
+only how a rank is stored differs.  The stored effective value of cell
+``j`` is ``base + offset[j]``; an offset of 15 means "saturated at
+base + 15" and the cell is treated as that ceiling everywhere (estimates
+and change probabilities are deterministic functions of the stored
+state, never of lost history).  After any insert that lifts the last
+zero offset, the common minimum is promoted into the base and all
+offsets drop by it, which never changes an effective value.
 
 Saturation makes these sketches order-dependent and their merge only
 approximate: an early huge rank clamps against a still-small base and
@@ -30,38 +31,68 @@ import math
 
 import numpy as np
 
-from . import analysis
-from .registers import BitArray, PackedRegisterArray
-from .sketches import (
-    LC_THRESHOLD,
-    RawEstimate,
-    _KahanSum,
-    _SketchBase,
-    _cells_from_presence,
-    _shadow_counts,
-    ehll_indicator_from_cells,
-    hll_indicator_from_registers,
-    merge_ehll_cells,
-)
+from .registers import PackedRegisterArray
+from .sketches import _RankSketch, _SketchBase
 
 OFFSET_WIDTH = 4
 OFFSET_MAX = (1 << OFFSET_WIDTH) - 1
 _BATCH_CHUNK = 4096
 
 
-class _TailCutBase(_SketchBase):
-    """Base-plus-offset storage shared by both TailCut sketches."""
+class _TailCutBase(_RankSketch):
+    """Base-plus-offset codec shared by both TailCut sketches."""
 
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
+    _header = ("base",)
+
+    def _clear(self) -> None:
         self.base = 0
         self.offsets = PackedRegisterArray(self.m, OFFSET_WIDTH)
         self._zero_offsets = self.m
-        self._term_sum = _KahanSum(float(self.m))
+
+    def _get_rank(self, j: int) -> int:
+        return self.base + self.offsets.get(j)
+
+    def _set_rank(self, j: int, k: int) -> None:
+        self.offsets.set(j, k - self.base)
 
     def effective_values(self) -> np.ndarray:
         """Stored effective register values ``base + offset``."""
         return self.offsets.values() + self.base
+
+    def _set_ranks(self, k: np.ndarray) -> None:
+        self.offsets.set_values(k - self.base)
+
+    def _clamp(self, k: int, x: int) -> tuple[int, int]:
+        if k - self.base > OFFSET_MAX:
+            # truncated: no evidence about the rank below the ceiling retained
+            return self.base + OFFSET_MAX, 0 if self.neighbor_bit else 1
+        return k, x
+
+    def _term(self, k: int, x: int) -> float:
+        """Stored-state change-probability term for one cell."""
+        if k - self.base < OFFSET_MAX:
+            return math.ldexp(3 - 2 * x, -k)
+        if not self.neighbor_bit:
+            return 0.0  # a saturated register never changes again
+        # saturated: a larger rank flips the bit to 0 (term 2^-k) and a
+        # rank at k-1 only matters when the bit is 0 (term 2^-(k-1))
+        return math.ldexp(1.0, -k) if x == 1 else math.ldexp(1.0, -(k - 1))
+
+    def _terms(self, k: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+        terms = super()._terms(k, x)
+        sat = k - self.base == OFFSET_MAX
+        if x is None:
+            terms[sat] = 0.0
+        else:
+            ks = k[sat].astype(float)
+            terms[sat] = np.where(x[sat] == 1, np.exp2(-ks), np.exp2(-(ks - 1)))
+        return terms
+
+    def _after_insert(self, k: int, new_k: int) -> None:
+        if k == self.base and new_k > k:
+            self._zero_offsets -= 1
+            if self._zero_offsets == 0:
+                self._promote_base()
 
     def _promote_base(self) -> None:
         """Shift the common minimum offset into the base (no effective change)."""
@@ -74,17 +105,8 @@ class _TailCutBase(_SketchBase):
         self._zero_offsets = int(np.count_nonzero(offs == 0))
         self.resync_term_sum()
 
-    def _after_offset_change(self, old_off: int, new_off: int) -> None:
-        if old_off == 0 and new_off > 0:
-            self._zero_offsets -= 1
-            if self._zero_offsets == 0:
-                self._promote_base()
-
-    def change_probability(self) -> float:
-        return self._term_sum.value / self.m
-
-    def memory_bits(self) -> int:
-        raise NotImplementedError
+    def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        self._promote_base()
 
     def _encode_effective(self, eff: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Canonical (base, offsets, truncated-mask) encoding of effective values."""
@@ -93,34 +115,11 @@ class _TailCutBase(_SketchBase):
         truncated = raw > OFFSET_MAX
         return base, np.minimum(raw, OFFSET_MAX), truncated
 
-
-class HllTcSketch(_TailCutBase):
-    """Max-rank sketch stored as base counter plus 4-bit offsets."""
-
-    kind = "hll-tc"
-
-    def insert(self, element) -> bool:
-        bucket, geo = self._split(element)
-        return self._insert_bg(bucket, geo)
-
-    def _insert_bg(self, bucket: int, geo: int) -> bool:
-        off = self.offsets.get(bucket)
-        eff = self.base + off
-        if geo <= eff:
-            return False
-        new_off = min(geo - self.base, OFFSET_MAX)
-        if new_off == off:
-            return False  # saturated cell cannot move further
-        self.offsets.set(bucket, new_off)
-        old_term = math.ldexp(1.0, -eff) if off < OFFSET_MAX else 0.0
-        new_term = math.ldexp(1.0, -(self.base + new_off)) if new_off < OFFSET_MAX else 0.0
-        self._term_sum.add(new_term - old_term)
-        self._after_offset_change(off, new_off)
-        return True
-
-    def insert_batch(self, values: np.ndarray) -> None:
-        bucket, geo = self._split_batch(values)
-        self._insert_bg_batch(bucket, geo)
+    def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        """Re-clamp merged cells canonically: best effort, approximate once saturated."""
+        self.base, offs, truncated = self._encode_effective(k)
+        self._zero_offsets = int(np.count_nonzero(offs == 0))
+        super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         for lo in range(0, len(bucket), _BATCH_CHUNK):
@@ -128,183 +127,33 @@ class HllTcSketch(_TailCutBase):
             ge = geo[lo:lo + _BATCH_CHUNK]
             if ge.max(initial=0) <= self.base + OFFSET_MAX:
                 # no clamp reachable: capped max == plain max, order-free
-                present = _shadow_counts(bu, ge, self.m, self.width)
-                batch_max, _ = _cells_from_presence(present)
-                eff = np.maximum(self.effective_values(), batch_max)
-                self.offsets.set_values(eff - self.base)
-                self._promote_base()
+                super()._insert_bg_batch(bu, ge)
             else:
                 for j, g in zip(bu.tolist(), ge.tolist()):
                     self._insert_bg(j, g)
 
-    def indicator(self) -> float:
-        return hll_indicator_from_registers(self.effective_values())
+    def _loaded(self) -> bool:
+        # every update path promotes or re-encodes, leaving a zero offset
+        self._zero_offsets = int(np.count_nonzero(self.offsets.values() == 0))
+        return self._zero_offsets > 0 and super()._loaded()
 
-    def resync_term_sum(self) -> None:
-        eff = self.effective_values()
-        terms = np.exp2(-eff.astype(float))
-        terms[self.offsets.values() == OFFSET_MAX] = 0.0
-        self._term_sum.reset(float(terms.sum()))
 
-    def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        alpha = 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(self.m)
-        raw = alpha * self.m * self.m * self.indicator()
-        if raw < LC_THRESHOLD * self.m:
-            v = int(np.count_nonzero(self.effective_values() == 0))
-            if v > 0:
-                return RawEstimate(analysis.linear_counting(self.m, v), "linear-counting")
-        return RawEstimate(raw, "raw")
+class HllTcSketch(_TailCutBase):
+    """Max-rank sketch stored as base counter plus 4-bit offsets."""
 
-    def merge(self, other: "HllTcSketch") -> "HllTcSketch":
-        """Best-effort union on stored effective values (approximate)."""
-        self._check_mergeable(other)
-        eff = np.maximum(self.effective_values(), other.effective_values())
-        out = self.copy()
-        out.base, offs, _ = self._encode_effective(eff)
-        out.offsets.set_values(offs)
-        out._zero_offsets = int(np.count_nonzero(offs == 0))
-        out.resync_term_sum()
-        return out
-
-    def memory_bits(self) -> int:
-        return OFFSET_WIDTH * self.m  # the base counter rides in the header
-
-    def copy(self) -> "HllTcSketch":
-        dup = HllTcSketch.__new__(HllTcSketch)
-        dup.m, dup.seed, dup.width = self.m, self.seed, self.width
-        dup.base = self.base
-        dup.offsets = self.offsets.copy()
-        dup._zero_offsets = self._zero_offsets
-        dup._term_sum = self._term_sum.copy()
-        return dup
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HllTcSketch)
-            and (self.m, self.seed, self.base) == (other.m, other.seed, other.base)
-            and self.offsets == other.offsets
-        )
+    kind = "hll-tc"
+    _arrays = ("offsets",)
+    insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
+    merge, estimate = _RankSketch.merge, _RankSketch.estimate
+    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _TailCutBase._insert_bg_batch
 
 
 class EhllTcSketch(_TailCutBase):
     """Two-field sketch with TailCut offsets plus the neighbor-bit array."""
 
     kind = "ehll-tc"
-
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
-        self.bits = BitArray(self.m, fill=1)
-
-    def insert(self, element) -> bool:
-        bucket, geo = self._split(element)
-        return self._insert_bg(bucket, geo)
-
-    def _cell_term(self, off: int, x: int) -> float:
-        """Stored-state change-probability term for one cell."""
-        eff = self.base + off
-        if off < OFFSET_MAX:
-            return math.ldexp(3 - 2 * x, -eff)
-        # saturated: a larger rank flips the bit to 0 (term 2^-eff) and a
-        # rank at eff-1 only matters when the bit is 0 (term 2^-(eff-1))
-        return math.ldexp(1.0, -eff) if x == 1 else math.ldexp(1.0, -(eff - 1))
-
-    def _insert_bg(self, bucket: int, geo: int) -> bool:
-        off = self.offsets.get(bucket)
-        x = self.bits.get(bucket)
-        eff = self.base + off
-        if geo == eff + 1:
-            new_eff, new_x = geo, 1
-        elif geo > eff + 1:
-            new_eff, new_x = geo, 0
-        elif geo == eff - 1 and x == 0:
-            new_eff, new_x = eff, 1
-        else:
-            return False
-        new_off = new_eff - self.base
-        if new_off > OFFSET_MAX:
-            new_off, new_x = OFFSET_MAX, 0  # truncated: no evidence retained
-        if new_off == off and new_x == x:
-            return False
-        old_term = self._cell_term(off, x)
-        self.offsets.set(bucket, new_off)
-        self.bits.set(bucket, new_x)
-        self._term_sum.add(self._cell_term(new_off, new_x) - old_term)
-        self._after_offset_change(off, new_off)
-        return True
-
-    def insert_batch(self, values: np.ndarray) -> None:
-        bucket, geo = self._split_batch(values)
-        self._insert_bg_batch(bucket, geo)
-
-    def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        for lo in range(0, len(bucket), _BATCH_CHUNK):
-            bu = bucket[lo:lo + _BATCH_CHUNK]
-            ge = geo[lo:lo + _BATCH_CHUNK]
-            if ge.max(initial=0) <= self.base + OFFSET_MAX:
-                present = _shadow_counts(bu, ge, self.m, self.width)
-                k_new, x_new = _cells_from_presence(present)
-                k, x = merge_ehll_cells(
-                    self.effective_values(), self.bits.values(), k_new, x_new)
-                self.offsets.set_values(k - self.base)
-                self.bits.set_values(x)
-                self._promote_base()
-            else:
-                for j, g in zip(bu.tolist(), ge.tolist()):
-                    self._insert_bg(j, g)
-
-    def indicator(self) -> float:
-        return ehll_indicator_from_cells(self.effective_values(), self.bits.values())
-
-    def resync_term_sum(self) -> None:
-        offs = self.offsets.values()
-        x = self.bits.values()
-        eff = (offs + self.base).astype(float)
-        terms = np.exp2(-eff) * (3.0 - 2.0 * x)
-        sat = offs == OFFSET_MAX
-        terms[sat] = np.where(x[sat] == 1, np.exp2(-eff[sat]), np.exp2(-(eff[sat] - 1)))
-        self._term_sum.reset(float(terms.sum()))
-
-    def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        gamma = analysis.asymptotic_constants()[0] if asymptotic else analysis.gamma_m(self.m)
-        raw = gamma * self.m * self.m * self.indicator()
-        if raw < LC_THRESHOLD * self.m:
-            v = int(np.count_nonzero(self.effective_values() == 0))
-            if v > 0:
-                return RawEstimate(analysis.linear_counting(self.m, v), "linear-counting")
-        return RawEstimate(raw, "raw")
-
-    def merge(self, other: "EhllTcSketch") -> "EhllTcSketch":
-        """Best-effort union via the cell merge rule, re-clamped (approximate)."""
-        self._check_mergeable(other)
-        k, x = merge_ehll_cells(
-            self.effective_values(), self.bits.values(),
-            other.effective_values(), other.bits.values())
-        out = self.copy()
-        out.base, offs, truncated = self._encode_effective(k)
-        x = np.where(truncated, 0, x)
-        out.offsets.set_values(offs)
-        out.bits.set_values(x)
-        out._zero_offsets = int(np.count_nonzero(offs == 0))
-        out.resync_term_sum()
-        return out
-
-    def memory_bits(self) -> int:
-        return (OFFSET_WIDTH + 1) * self.m
-
-    def copy(self) -> "EhllTcSketch":
-        dup = EhllTcSketch.__new__(EhllTcSketch)
-        dup.m, dup.seed, dup.width = self.m, self.seed, self.width
-        dup.base = self.base
-        dup.offsets = self.offsets.copy()
-        dup.bits = self.bits.copy()
-        dup._zero_offsets = self._zero_offsets
-        dup._term_sum = self._term_sum.copy()
-        return dup
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EhllTcSketch)
-            and (self.m, self.seed, self.base) == (other.m, other.seed, other.base)
-            and self.offsets == other.offsets
-            and self.bits == other.bits
-        )
+    neighbor_bit = True
+    _arrays = ("offsets", "bits")
+    insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
+    merge, estimate = _RankSketch.merge, _RankSketch.estimate
+    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _TailCutBase._insert_bg_batch

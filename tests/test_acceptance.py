@@ -222,7 +222,7 @@ def test_criterion_8_shadow_register_equivalence():
         h.insert_all(stream)
         e.insert_all(stream)
         hll_cells, ehll_cells = derive_cells(shadow_from_stream(stream, 1 << b, seed=t))
-        if h.registers.values().tolist() != hll_cells:
+        if h.ranks.values().tolist() != hll_cells:
             bad += 1
         elif list(zip(e.ranks.values().tolist(), e.bits.values().tolist())) != ehll_cells:
             bad += 1

@@ -76,6 +76,34 @@ def test_save_and_load_roundtrip(tmp_path, capsys):
     assert out2.splitlines()[0] == out.splitlines()[0]
 
 
+def test_estimate_martingale_load_exits_2(tmp_path, capsys):
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(f"t{i}\n" for i in range(500)))
+    f = tmp_path / "s.bin"
+    assert run(capsys, "estimate", "--b", "6", str(path), "--save", str(f))[0] == 0
+    # the file holds the sketch only, not the martingale E and V
+    code, out, err = run(capsys, "estimate", "--martingale", "--load", str(f), str(path))
+    assert code == 2
+    assert out == "" and "martingale" in err
+
+
+def test_estimate_load_conflicting_flags_exit_2(tmp_path, capsys):
+    path = tmp_path / "tok.txt"
+    path.write_text("a\nb\nc\n")
+    f = tmp_path / "s.bin"
+    code, out, _ = run(capsys, "estimate", "--sketch", "hll", "--b", "6",
+                       "--seed", "9", str(path), "--save", str(f))
+    assert code == 0
+    for flags in (["--sketch", "ehll"], ["--b", "7"], ["--seed", "3"]):
+        code, _, err = run(capsys, "estimate", "--load", str(f), *flags, str(path))
+        assert code == 2, flags
+        assert "does not match" in err
+    # flags that agree with the file are accepted
+    code, again, _ = run(capsys, "estimate", "--load", str(f), "--sketch", "hll",
+                         "--b", "6", "--seed", "9", str(path))
+    assert code == 0 and again == out
+
+
 def test_merge_shards_equals_whole(tmp_path, capsys):
     whole = tmp_path / "whole.txt"
     shard1 = tmp_path / "s1.txt"

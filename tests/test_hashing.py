@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ehll.hashing import (
-    bucketize,
     geo_width,
     hash64,
     hash64_u64_array,
@@ -21,14 +20,14 @@ from ehll.hashing import (
 
 def test_hash_deterministic():
     for x in (b"", b"a", b"hello world", b"\x00" * 17, "token", 12345):
-        assert hash64(x, 7).raw == hash64(x, 7).raw
-    assert hash64(b"abc", 1).raw != hash64(b"abc", 2).raw
+        assert hash64(x, 7) == hash64(x, 7)
+    assert hash64(b"abc", 1) != hash64(b"abc", 2)
 
 
 def test_hash_canonical_encodings():
-    assert hash64("abc").raw == hash64(b"abc").raw
-    assert hash64(5).raw == hash64((5).to_bytes(8, "little")).raw
-    assert hash64(bytearray(b"xy")).raw == hash64(b"xy").raw
+    assert hash64("abc") == hash64(b"abc")
+    assert hash64(5) == hash64((5).to_bytes(8, "little"))
+    assert hash64(bytearray(b"xy")) == hash64(b"xy")
     with pytest.raises(TypeError):
         hash64(3.14)
 
@@ -37,7 +36,7 @@ def test_hash_array_matches_scalar():
     values = np.array([0, 1, 2, 10**12, 2**63, 2**64 - 1], dtype=np.uint64)
     batch = hash64_u64_array(values, seed=99)
     for v, h in zip(values.tolist(), batch.tolist()):
-        assert hash64(v, seed=99).raw == h
+        assert hash64(v, seed=99) == h
 
 
 def test_seed_separation():
@@ -75,18 +74,13 @@ def test_rho_array_matches_scalar():
         assert rho(y, 54) == r
 
 
-def test_bucketize_examples():
-    h = hash64(b"ignored")
-    zero = type(h)(0)
-    got = bucketize(zero, 4)
-    assert got.bucket == 0 and got.geo == 61
+def test_split_hash_examples():
+    assert split_hash(0, 1 << 4) == (0, 61)
     raw = (0b1010 << 60) | 0b100
-    got = bucketize(type(h)(raw), 4)
-    assert got.bucket == 0b1010 and got.geo == 3
-    with pytest.raises(ValueError):
-        bucketize(zero, 3)
-    with pytest.raises(ValueError):
-        bucketize(zero, 19)
+    assert split_hash(raw, 1 << 4) == (0b1010, 3)
+    # b outside [4, 18] has no top-bits layout: the 32/32 split applies
+    assert split_hash(0, 1 << 3) == (0, 33)
+    assert split_hash(0, 1 << 19) == (0, 33)
 
 
 def test_bucket_uniformity_chi2():

@@ -49,6 +49,21 @@ def test_tailcut_merge_commutes(sa, sb):
         assert a.merge(cls(b=4)) == a
 
 
+@settings(max_examples=30, deadline=None)
+@given(sa=elements, sb=elements)
+def test_bulk_term_sum_is_exact(sa, sb):
+    # merge and insert_batch take the running sum from the cells they
+    # stored; a resync from the packed arrays must not move it
+    for cls in (HllSketch, EhllSketch, HllTcSketch, EhllTcSketch):
+        a, b = cls(b=4), cls(b=4)
+        a.insert_all(sa)
+        b.insert_batch(np.array(sb, dtype=np.uint64))
+        for s in (a.merge(b), b):
+            q = s.change_probability()
+            s.resync_term_sum()
+            assert s.change_probability() == q
+
+
 def _cell_of(ranks: set) -> tuple[int, int]:
     if not ranks:
         return 0, 1

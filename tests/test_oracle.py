@@ -47,7 +47,7 @@ def test_shadow_matches_production():
         h.insert_all(stream)
         e.insert_all(stream)
         hll_cells, ehll_cells = derive_cells(shadow_from_stream(stream, 1 << b, seed=13))
-        assert h.registers.values().tolist() == hll_cells
+        assert h.ranks.values().tolist() == hll_cells
         assert list(zip(e.ranks.values().tolist(), e.bits.values().tolist())) == ehll_cells
 
 
@@ -260,7 +260,7 @@ def test_enumeration_matches_incremental_on_random_states():
         assert 0 <= diff <= 0.5**K + 1e-12
 
         h = HllSketch(m=m)
-        h.registers.set_values(ranks)
+        h.ranks.set_values(ranks)
         h.resync_term_sum()
         diff = h.change_probability() - enumerate_change_probability(h, K)
         assert 0 <= diff <= 0.5**K + 1e-12

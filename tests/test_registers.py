@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehll.registers import BitArray, PackedRegisterArray, new
+from ehll.registers import BitArray, PackedRegisterArray
 
 
 def test_fill_and_memory():
-    a = new(16, 6, 0)
+    a = PackedRegisterArray(16, 6, 0)
     assert [a.get(j) for j in range(16)] == [0] * 16
     b = BitArray(8, fill=1)
     assert [b.get(j) for j in range(8)] == [1] * 8
-    assert new(1024, 6, 0).memory_bits() == 6144
+    assert PackedRegisterArray(1024, 6, 0).memory_bits() == 6144
 
 
 def test_buffer_size_is_exact():
@@ -25,7 +25,7 @@ def test_buffer_size_is_exact():
 
 
 def test_roundtrip_and_isolation():
-    a = new(8, 6, 0)
+    a = PackedRegisterArray(8, 6, 0)
     a.set(3, 63)
     assert a.get(3) == 63
     a.set(3, 5)
@@ -40,7 +40,7 @@ def test_invalid_arguments():
         PackedRegisterArray(4, 9)
     with pytest.raises(ValueError):
         PackedRegisterArray(4, 6, fill=64)
-    a = new(4, 6)
+    a = PackedRegisterArray(4, 6)
     with pytest.raises(IndexError):
         a.get(4)
     with pytest.raises(IndexError):
@@ -74,7 +74,7 @@ def test_fuzz_against_mirror():
 
 
 def test_zero_count():
-    a = new(16, 6, 0)
+    a = PackedRegisterArray(16, 6, 0)
     assert a.zero_count() == 16
     a.set(5, 9)
     assert a.zero_count() == 15
@@ -124,7 +124,7 @@ def test_property_mirror_equivalence(width, m, data):
 
 
 def test_copy_and_eq():
-    a = new(10, 6)
+    a = PackedRegisterArray(10, 6)
     a.set(2, 33)
     c = a.copy()
     assert c == a

@@ -6,16 +6,17 @@ import pytest
 from ehll.hashing import stream_u64
 from ehll.serialization import (
     KIND_TAGS,
+    SKETCHES,
     SketchFormatError,
     deserialize,
     load,
     save,
     serialize,
 )
-from ehll.sketches import EhllSketch, HllSketch, PcsaSketch
+from ehll.sketches import EhllSketch, HllSketch
 from ehll.tailcut import EhllTcSketch, HllTcSketch
 
-ALL_CLASSES = [PcsaSketch, HllSketch, EhllSketch, HllTcSketch, EhllTcSketch]
+ALL_KINDS = list(SKETCHES.values())
 
 
 def _populated(cls, b=6, seed=77, n=500):
@@ -24,7 +25,7 @@ def _populated(cls, b=6, seed=77, n=500):
     return s
 
 
-@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("cls", ALL_KINDS)
 def test_roundtrip_bit_identical(cls):
     s = _populated(cls)
     data = serialize(s)
@@ -33,7 +34,7 @@ def test_roundtrip_bit_identical(cls):
     assert serialize(back) == data
 
 
-@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("cls", ALL_KINDS)
 def test_roundtrip_preserves_behavior(cls):
     s = _populated(cls)
     back = deserialize(serialize(s))
@@ -89,6 +90,43 @@ def test_rejects_malformed():
         deserialize(good + b"\x00")  # trailing bytes
 
 
+def test_rejects_rank_above_hash_width():
+    # at b=10 the hash leaves 54 rank bits, so the largest rank is 55
+    s = HllSketch(b=10)
+    s.ranks.set(0, 63)
+    with pytest.raises(SketchFormatError):
+        deserialize(serialize(s))
+    s.ranks.set(0, 55)
+    assert deserialize(serialize(s)) == s
+
+
+def test_rejects_zero_neighbor_bit_below_rank_two():
+    for cls in (EhllSketch, EhllTcSketch):
+        s = cls(b=9)
+        s.bits.set(0, 0)  # an empty cell is (0, 1)
+        with pytest.raises(SketchFormatError):
+            deserialize(serialize(s))
+    s = EhllSketch(b=9)
+    s.ranks.set(0, 1)
+    s.bits.set(0, 0)
+    with pytest.raises(SketchFormatError):
+        deserialize(serialize(s))
+    s.ranks.set(0, 2)  # rank 1 unseen below a maximum of 2 is reachable
+    back = deserialize(serialize(s))
+    assert back == s and back.change_probability() < 1.0
+
+
+def test_rejects_tailcut_without_zero_offset():
+    for cls in (HllTcSketch, EhllTcSketch):
+        s = cls(b=4)
+        for j in range(16):
+            s.offsets.set(j, 2)  # promotion would have moved this into the base
+        with pytest.raises(SketchFormatError):
+            deserialize(serialize(s))
+        s.offsets.set(5, 0)
+        assert deserialize(serialize(s)) == s
+
+
 def test_general_m_not_serializable():
     with pytest.raises(ValueError):
         serialize(HllSketch(m=1195))
@@ -103,7 +141,7 @@ def test_save_load(tmp_path):
 
 def test_fuzz_roundtrip_many_states():
     rng = np.random.default_rng(61)
-    for cls in ALL_CLASSES:
+    for cls in ALL_KINDS:
         for t in range(10):
             s = cls(b=4, seed=int(rng.integers(2**63)))
             s.insert_all(rng.integers(0, 2**63, size=int(rng.integers(0, 300)),

@@ -58,14 +58,14 @@ def test_trial_stream_seeds_differ():
 
 @pytest.mark.parametrize("kind", ["pcsa", "hll", "ehll", "hll-tc", "ehll-tc"])
 def test_run_trial_matches_reference_sketch(kind):
-    from ehll.simulate import SKETCH_CLASSES
+    from ehll.serialization import SKETCHES
 
     m, n, seed = 64, 3000, 5
     positions = np.array([1000, 2000, 3000])
     got = run_trial(kind, m, n, positions, seed, trial=7,
                     martingale=False, asymptotic=False)
     elements = stream_u64(n, trial_stream_seed(seed, 7))
-    ref = SKETCH_CLASSES[kind](m=m, seed=seed)
+    ref = SKETCHES[kind](m=m, seed=seed)
     expected = []
     prev = 0
     for pos in positions:
@@ -77,7 +77,7 @@ def test_run_trial_matches_reference_sketch(kind):
 
 @pytest.mark.parametrize("kind", ["hll", "ehll"])
 def test_martingale_trace_matches_counter(kind):
-    from ehll.simulate import SKETCH_CLASSES
+    from ehll.serialization import SKETCHES
 
     rng = np.random.default_rng(71)
     for trial in range(5):
@@ -91,7 +91,7 @@ def test_martingale_trace_matches_counter(kind):
         positions = np.array([n // 3, n // 2, n])
         e_vec, v_vec = martingale_trace(kind, m, bucket, geo, positions)
 
-        counter = MartingaleCounter(SKETCH_CLASSES[kind](m=m, seed=seed))
+        counter = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
         expected_e, expected_v = [], []
         prev = 0
         for pos in positions:

@@ -8,12 +8,12 @@ import pytest
 from ehll.analysis import PCSA_PHI, alpha_m
 from ehll.hashing import stream_u64
 from ehll.oracle import derive_cells, shadow_from_stream, union_sketch
+from ehll.serialization import SKETCHES
 from ehll.sketches import (
     EhllSketch,
     HllSketch,
     PcsaSketch,
-    ehll_indicator_from_cells,
-    hll_indicator_from_registers,
+    cell_indicator,
 )
 
 
@@ -43,7 +43,8 @@ def test_pcsa_first_zero_tracks_log_phi_n():
     # mean first-zero index ~ log2(phi * n / m) within one binary order
     s = PcsaSketch(b=6, seed=0)
     s.insert_batch(stream_u64(10_000, 99))
-    mean_r = float(s._first_zero_indexes().mean())
+    # the estimate is m / phi * 2^(mean first-zero index)
+    mean_r = math.log2(s.estimate().value * PCSA_PHI / s.m)
     expected = math.log2(PCSA_PHI * 10_000 / 64)
     assert abs(mean_r - expected) < 1.0
 
@@ -88,14 +89,14 @@ def test_hll_registers_match_shadow():
     s.insert_all(stream)
     shadow = shadow_from_stream(stream, s.m, seed=5)
     hll_cells, _ = derive_cells(shadow)
-    assert s.registers.values().tolist() == hll_cells
+    assert s.ranks.values().tolist() == hll_cells
 
 
 def test_hll_indicator_values():
     s = HllSketch(b=4)
     assert s.indicator() == pytest.approx(1.0 / 16)
-    assert hll_indicator_from_registers([3]) == pytest.approx(8.0)
-    assert hll_indicator_from_registers([1, 2]) == pytest.approx(4.0 / 3.0)
+    assert cell_indicator([3]) == pytest.approx(8.0)
+    assert cell_indicator([1, 2]) == pytest.approx(4.0 / 3.0)
 
 
 def test_hll_estimate_empty_is_zero():
@@ -108,7 +109,7 @@ def test_hll_estimate_empty_is_zero():
 def test_hll_estimate_regime_boundary():
     # all registers nonzero but raw below the threshold: falls back to raw
     s = HllSketch(b=4)
-    s.registers.set_values(np.ones(16, dtype=np.int64))
+    s.ranks.set_values(np.ones(16, dtype=np.int64))
     s.resync_term_sum()
     raw = alpha_m(16) * 16 * 16 * s.indicator()
     assert raw < 2.5 * 16
@@ -160,8 +161,8 @@ def test_ehll_transitions():
 def test_ehll_indicator_values():
     s = EhllSketch(b=4)
     assert s.indicator() == pytest.approx(1.0 / 16)
-    assert ehll_indicator_from_cells([3], [0]) == pytest.approx(8.0 / 3.0)
-    assert ehll_indicator_from_cells([1, 2], [1, 0]) == pytest.approx(4.0 / 5.0)
+    assert cell_indicator([3], [0]) == pytest.approx(8.0 / 3.0)
+    assert cell_indicator([1, 2], [1, 0]) == pytest.approx(4.0 / 5.0)
 
 
 def test_ehll_cells_match_shadow():
@@ -248,6 +249,16 @@ def test_batch_equals_scalar():
         split.insert_batch(stream[:1000])
         split.insert_batch(stream[1000:])
         assert split == batch
+
+
+def test_insert_batch_rejects_non_integer_arrays():
+    for cls in SKETCHES.values():
+        s = cls(b=4)
+        with pytest.raises(TypeError):
+            s.insert_batch(np.array([1.5, 2.7]))
+        assert s == cls(b=4)
+        s.insert_batch(np.array([1, 2], dtype=np.int64))
+        assert s != cls(b=4)
 
 
 def test_merge_identity_commutativity():

@@ -44,7 +44,7 @@ def test_base_promotion_preserves_effective_values():
     assert s.estimate().value != est_before  # the insert changed a register
     # re-deriving the estimate from effective values matches a plain sketch
     plain = HllSketch(m=16, seed=0)
-    plain.registers.set_values(s.effective_values())
+    plain.ranks.set_values(s.effective_values())
     plain.resync_term_sum()
     assert s.estimate().value == pytest.approx(plain.estimate().value)
 
