@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 LN2 = math.log(2.0)
 
@@ -71,6 +70,9 @@ def power_integrals(kernel: Callable[[float], float], m: int,
     """
     if m < 2:
         raise ValueError("power_integrals requires m >= 2 (I0 diverges at m = 1)")
+    # imported here: scipy costs most of the package's import time, and only
+    # the quadrature needs it
+    from scipy.integrate import quad
 
     results = []
     for p in (0, 1):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import analysis, oracle, serialization
 from .martingale import MartingaleCounter
 from .simulate import SimulationConfig, paper_scale, rows_to_csv, rows_to_svg, simulate
@@ -29,13 +31,53 @@ def _add_sketch_args(p: argparse.ArgumentParser) -> None:
                    help="64-bit unsigned hash seed")
 
 
-def _iter_tokens(path: str):
+#: Bytes read per block of ``estimate`` input; a line longer than this
+#: grows its block until the line ends.
+BLOCK_BYTES = 1 << 20
+
+
+def _line_tokens(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the tokens in ``data``, whole lines ending in b"\\n".
+
+    A token is a line with ``rstrip(b"\\r\\n")`` applied; blank tokens are
+    skipped.
+    """
+    ends = np.flatnonzero(data == 10)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    # one pass per trailing carriage return, over the lines that still end in one
+    cr = np.flatnonzero((ends > starts) & (data[ends - 1] == 13))
+    while len(cr):
+        ends[cr] -= 1
+        cr = cr[(ends[cr] > starts[cr]) & (data[ends[cr] - 1] == 13)]
+    keep = ends > starts
+    return starts[keep], ends[keep]
+
+
+def _token_blocks(path: str):
+    """Yield ``(buffer, starts, ends)`` for each block of newline-delimited tokens.
+
+    Reads ``BLOCK_BYTES`` at a time and carries a partial last line into
+    the next block, so memory stays bounded by the block and the longest
+    line on unbounded input.  A last line without a newline still counts.
+    """
     fh = sys.stdin.buffer if path == "-" else open(path, "rb")
     try:
-        for line in fh:
-            token = line.rstrip(b"\r\n")
-            if token:
-                yield token
+        pending: list[bytes] = []  # the block so far: a partial line, in pieces
+        while True:
+            chunk = fh.read(BLOCK_BYTES)
+            pending.append(chunk or b"\n")
+            if chunk and b"\n" not in chunk:
+                continue  # the line goes on; join its pieces once it ends
+            data = b"".join(pending)
+            cut = data.rfind(b"\n") + 1
+            pending = [data[cut:]]
+            starts, ends = _line_tokens(np.frombuffer(data, dtype=np.uint8, count=cut))
+            if len(starts):
+                yield data, starts, ends
+            if not chunk:
+                return
     finally:
         if fh is not sys.stdin.buffer:
             fh.close()
@@ -61,19 +103,22 @@ def cmd_estimate(args) -> int:
     else:
         sketch = serialization.SKETCHES[args.sketch or "ehll"](
             b=10 if args.b is None else args.b, seed=args.seed or 0)
+    target = MartingaleCounter(sketch) if args.martingale else sketch
+    for block in _token_blocks(args.input):
+        target.insert_tokens(*block)
     if args.martingale:
-        counter = MartingaleCounter(sketch)
-        counter.insert_all(_iter_tokens(args.input))
-        print(f"estimate {counter.estimate():.6g}")
-        print(f"stderr {counter.standard_error():.6g}")
+        print(f"estimate {target.estimate():.6g}")
+        print(f"stderr {target.standard_error():.6g}")
         print(f"memory_bits {sketch.memory_bits()}")
     else:
-        sketch.insert_all(_iter_tokens(args.input))
         est = sketch.estimate()
         print(f"estimate {est.value:.6g}")
         print(f"regime {est.regime}")
         print(f"memory_bits {sketch.memory_bits()}")
     if args.save:
+        if args.martingale:
+            print("warning: --save keeps only the sketch; the martingale estimate "
+                  "and variance are not saved", file=sys.stderr)
         serialization.save(sketch, args.save)
     return 0
 

@@ -41,14 +41,19 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array (wrapping arithmetic)."""
-    x = x.astype(np.uint64, copy=True)
+def _mix_inplace(x: np.ndarray) -> None:
+    """:func:`mix64` applied in place to a uint64 array (wrapping arithmetic)."""
     x ^= x >> _U(30)
     x *= _U(_MIX1)
     x ^= x >> _U(27)
     x *= _U(_MIX2)
     x ^= x >> _U(31)
+
+
+def mix64_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`mix64` on a uint64 array (wrapping arithmetic)."""
+    x = x.astype(np.uint64, copy=True)
+    _mix_inplace(x)
     return x
 
 
@@ -94,6 +99,46 @@ def hash64_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
     state = mix64_array(values.astype(np.uint64) ^ _U(state0))
     state ^= _U(8)  # byte length of one u64 block
     return mix64_array(state)
+
+
+#: ``_BYTE_MASKS[i]`` keeps the low ``i`` bytes of a little-endian word.
+_BYTE_MASKS = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
+
+
+def hash64_tokens(buf, starts: np.ndarray, ends: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Vectorized :func:`hash64` of the byte tokens ``buf[starts[i]:ends[i]]``.
+
+    Bit-identical to ``hash64(bytes(buf[s:e]), seed)`` for every token.
+    Round ``r`` mixes block ``r`` of every token longer than ``8 r``
+    bytes, so the rounds run up to the longest token; tokens are visited
+    longest first, which makes the tokens still active in a round a
+    prefix.  The last block of a token is masked to its length, which
+    is the zero padding of :func:`hash64`.
+    """
+    data = np.frombuffer(buf, dtype=np.uint8)
+    padded = np.zeros(len(data) + 8, dtype=np.uint8)  # the last word may read past the end
+    padded[:len(data)] = data
+    # the little-endian word starting at every byte offset, as an unaligned view
+    words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    lens = np.asarray(ends, dtype=np.int64) - np.asarray(starts, dtype=np.int64)
+    order = np.argsort(-lens, kind="stable")
+    pos = np.asarray(starts, dtype=np.int64)[order]
+    left = lens[order]
+    # active[r]: how many tokens (a prefix of ``order``) have a block r
+    rounds = (int(left[0]) + 7) // 8 if len(left) else 0
+    active = np.searchsorted(-left, -8 * np.arange(rounds), side="left")
+    state = np.full(len(lens), mix64((seed ^ _SEED_TWEAK) & MASK64), dtype=np.uint64)
+    for c in active.tolist():
+        head = state[:c]
+        head ^= words[pos[:c]] & _BYTE_MASKS[np.minimum(left[:c], 8)]
+        _mix_inplace(head)
+        pos[:c] += 8
+        left[:c] -= 8
+    state ^= lens[order].astype(np.uint64)
+    _mix_inplace(state)
+    out = np.empty_like(state)
+    out[order] = state
+    return out
 
 
 def rho(y: int, width: int) -> int:

@@ -17,6 +17,12 @@ The wrapped sketch maintains its change-probability sum incrementally;
 to bound floating drift the sum is recomputed exactly from the registers
 every ``2**20`` updates (and on demand via :meth:`resync`).
 
+Blocks of elements go in at once (:meth:`MartingaleCounter.insert_bg_batch`).
+For the order-free sketches the state changes of a block are located
+vectorized (:func:`change_deltas`) and their ``q`` come from one cumulative
+sum in arrival order; TailCut sketches replay the elements that can
+change a cell.
+
 A counter is strictly single-threaded (sequential semantics are the
 whole point) but can be handed off between threads.
 """
@@ -25,7 +31,92 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .sketches import cell_terms
+from .tailcut import _TailCutBase
+
 RESYNC_INTERVAL = 1 << 20
+_RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
+
+
+def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
+                  x0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival index and cell-term change of every state change, in arrival order.
+
+    The (bucket, rank) pairs arrive in order on the cells ``(k0, x0)``
+    (``x0`` is None for max-rank cells).  State changes are sparse, so
+    this locates them, reconstructs each cell's state just before and
+    after, and differences the cell terms; order-free cells make that
+    exact.
+    """
+    n = len(bucket)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    order = np.argsort(bucket, kind="stable")
+    bs, gs, arrival = bucket[order], geo[order], order
+
+    # exclusive per-bucket running max, from the cell's rank, via offset-encoded cummax
+    enc = gs + bs * _RANK_STRIDE
+    shifted = np.empty(n, dtype=np.int64)
+    shifted[1:] = enc[:-1]
+    seg_start = np.empty(n, dtype=bool)
+    seg_start[0] = True
+    seg_start[1:] = bs[1:] != bs[:-1]
+    starts = bs[seg_start]
+    shifted[seg_start] = starts * _RANK_STRIDE + k0[starts]
+    prior_max = np.maximum.accumulate(shifted) - bs * _RANK_STRIDE
+
+    grows = gs > prior_max
+    if x0 is not None:
+        # neighbor-bit event: rank == prior_max - 1, never seen before in bucket
+        occ = np.lexsort((arrival, gs, bs))
+        first_in_occ = np.empty(n, dtype=bool)
+        first_in_occ[0] = True
+        first_in_occ[1:] = (bs[occ][1:] != bs[occ][:-1]) | (gs[occ][1:] != gs[occ][:-1])
+        first_seen = np.empty(n, dtype=bool)
+        first_seen[occ] = first_in_occ
+        # the starting cell proves its own rank seen, and the one below if its bit is set
+        kb = k0[bs]
+        seen_before = (gs == kb) | ((gs == kb - 1) & (x0[bs] == 1))
+        fills = (~grows) & (gs == prior_max - 1) & first_seen & ~seen_before
+        events = grows | fills
+    else:
+        events = grows
+
+    ev_bucket = bs[events]
+    ev_grow = grows[events]
+    ev_rank = gs[events]
+    ev_prior = prior_max[events]
+    k_after = np.where(ev_grow, ev_rank, ev_prior)
+    k_before = ev_prior
+
+    if x0 is not None:
+        x_after = np.where(ev_grow, (ev_rank == ev_prior + 1).astype(np.int64), 1)
+        x_before = np.empty(len(k_after), dtype=np.int64)
+        x_before[1:] = x_after[:-1]
+        ev_start = np.empty(len(k_after), dtype=bool)
+        if len(k_after):
+            ev_start[0] = True
+            ev_start[1:] = ev_bucket[1:] != ev_bucket[:-1]
+            x_before[ev_start] = x0[ev_bucket[ev_start]]
+    else:
+        x_after = x_before = None
+    term_after = cell_terms(k_after, x_after)
+    term_before = cell_terms(k_before, x_before)
+
+    ev_arrival = arrival[events]
+    by_arrival = np.argsort(ev_arrival)
+    return ev_arrival[by_arrival], (term_after - term_before)[by_arrival]
+
+
+def pre_update_q(m: int, term_sum: float, delta: np.ndarray) -> np.ndarray:
+    """Change probability before each state change, from the running term sum."""
+    sums = term_sum + np.cumsum(delta)
+    pre = np.empty(len(delta))
+    pre[:1] = term_sum
+    pre[1:] = sums[:-1]
+    return pre / m
 
 
 class MartingaleCounter:
@@ -54,6 +145,57 @@ class MartingaleCounter:
     def insert_all(self, elements) -> None:
         for e in elements:
             self.insert(e)
+
+    def insert_tokens(self, buf, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Insert the byte tokens ``buf[starts[i]:ends[i]]`` in order, hashed at once."""
+        self.insert_bg_batch(*self.inner.split_tokens(buf, starts, ends))
+
+    def insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        """Insert a block of (bucket, rank) pairs in arrival order.
+
+        E, V and the inner sketch end as after :meth:`insert` of each
+        element in turn.  A TailCut sketch is replayed element by element,
+        which is bit-identical.  An order-free sketch takes one vectorized
+        pass, whose ``q`` come from a plain running sum where the scalar
+        path keeps a compensated one: equal up to rounding, and exact
+        while the term sum fits a double (ranks up to about 40 at m=2^12).
+
+        Resyncs due inside a block happen once at its end.  They cannot
+        move a number: the order-free pass leaves the term sum exact, and
+        a TailCut sum is always exact, since every term is a multiple of
+        ``2^-(base+15)`` and the sum is below ``3 m 2^-base``.
+        """
+        if isinstance(self.inner, _TailCutBase):
+            self._replay(bucket, geo)
+        else:
+            self._trace(bucket, geo)
+        u = self.updates_since_resync + len(bucket)
+        if u >= RESYNC_INTERVAL:
+            self.resync()
+        self.updates_since_resync = u % RESYNC_INTERVAL
+
+    def _trace(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        inner = self.inner
+        _, delta = change_deltas(bucket, geo, *inner._cells())
+        if len(delta):
+            q = pre_update_q(inner.m, inner._sum, delta)
+            # accumulated from the running values, in order, as insert() adds them
+            self.estimate_value = float(np.cumsum(np.r_[self.estimate_value, 1.0 / q])[-1])
+            self.retro_var = float(np.cumsum(np.r_[self.retro_var, (1.0 - q) / (q * q)])[-1])
+        inner._insert_bg_batch(bucket, geo)
+
+    def _replay(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        inner = self.inner
+        k = inner.effective_values()[bucket]
+        # ranks never fall: a rank below k - 1 (at most k without bits) changes nothing
+        reach = np.flatnonzero(geo >= k - 1 if inner.neighbor_bit else geo > k)
+        e, v = self.estimate_value, self.retro_var
+        for j, g in zip(bucket[reach].tolist(), geo[reach].tolist()):
+            q = inner.change_probability()
+            if inner._insert_bg(j, g):
+                e += 1.0 / q
+                v += (1.0 - q) / (q * q)
+        self.estimate_value, self.retro_var = e, v
 
     def estimate(self) -> float:
         return self.estimate_value

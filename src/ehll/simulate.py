@@ -25,7 +25,6 @@ aggregate rows as a sequential run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,9 +38,9 @@ from .hashing import (
     split_hash_array,
     stream_u64,
 )
-from .martingale import MartingaleCounter
+from .martingale import MartingaleCounter, change_deltas, pre_update_q
 from .serialization import SKETCHES
-from .sketches import _cells_from_presence, cell_terms, estimate_bitmap, estimate_cells
+from .sketches import _cells_from_presence, bias_constant, estimate_bitmap, estimate_cells
 from .tailcut import _TailCutBase
 
 #: matched-memory register multipliers relative to the two-field baseline
@@ -129,92 +128,39 @@ def _mergeable_trial(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
     return out
 
 
-def _tailcut_trial(kind: str, m: int, seed: int, bucket: np.ndarray,
-                   geo: np.ndarray, positions: np.ndarray, asymptotic: bool) -> np.ndarray:
+def _tailcut_trial(kind: str, m: int, seed: int, bucket: np.ndarray, geo: np.ndarray,
+                   positions: np.ndarray, asymptotic: bool, martingale: bool) -> np.ndarray:
+    """Order-dependent sketches: feed the sketch (or its martingale) block by block."""
     sketch = SKETCHES[kind](m=m, seed=seed)
+    counter = MartingaleCounter(sketch) if martingale else None
     out = np.empty(len(positions))
     prev = 0
     for i, pos in enumerate(positions):
-        sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+        if martingale:
+            counter.insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            out[i] = counter.estimate()
+        else:
+            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            out[i] = sketch.estimate(asymptotic=asymptotic).value
         prev = pos
-        out[i] = sketch.estimate(asymptotic=asymptotic).value
     return out
-
-
-_RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
 
 
 def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
                      positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, V) of the martingale estimator at each checkpoint, fully vectorized.
 
-    State changes are sparse, so the trial reduces to locating them,
-    reconstructing each cell's state just before and after, and prefix
+    State changes are sparse, so the trial reduces to locating them from
+    the empty sketch (:func:`ehll.martingale.change_deltas`) and prefix
     summing the change-probability deltas in arrival order.
     """
-    two_field = SKETCHES[kind].neighbor_bit
-    n = len(bucket)
-    order = np.argsort(bucket, kind="stable")
-    bs, gs, arrival = bucket[order], geo[order], order
-
-    # exclusive per-bucket running max via offset-encoded cummax
-    enc = gs + bs * _RANK_STRIDE
-    shifted = np.empty(n, dtype=np.int64)
-    shifted[1:] = enc[:-1]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = bs[1:] != bs[:-1]
-    shifted[seg_start] = bs[seg_start] * _RANK_STRIDE  # rank-0 floor
-    prior_max = np.maximum.accumulate(shifted) - bs * _RANK_STRIDE
-
-    grows = gs > prior_max
-    if two_field:
-        # neighbor-bit event: rank == prior_max - 1, never seen before in bucket
-        occ = np.lexsort((arrival, gs, bs))
-        first_in_occ = np.empty(n, dtype=bool)
-        first_in_occ[0] = True
-        first_in_occ[1:] = (bs[occ][1:] != bs[occ][:-1]) | (gs[occ][1:] != gs[occ][:-1])
-        first_seen = np.empty(n, dtype=bool)
-        first_seen[occ] = first_in_occ
-        fills = (~grows) & (gs == prior_max - 1) & first_seen
-        events = grows | fills
-    else:
-        events = grows
-
-    ev_bucket = bs[events]
-    ev_grow = grows[events]
-    ev_rank = gs[events]
-    ev_prior = prior_max[events]
-    k_after = np.where(ev_grow, ev_rank, ev_prior)
-    k_before = ev_prior
-
-    if two_field:
-        x_after = np.where(ev_grow, (ev_rank == ev_prior + 1).astype(np.int64), 1)
-        x_before = np.empty(len(k_after), dtype=np.int64)
-        x_before[1:] = x_after[:-1]
-        ev_start = np.empty(len(k_after), dtype=bool)
-        if len(k_after):
-            ev_start[0] = True
-            ev_start[1:] = ev_bucket[1:] != ev_bucket[:-1]
-            x_before[ev_start] = 1  # empty cell is (0, 1)
-    else:
-        x_after = x_before = None
-    term_after = cell_terms(k_after, x_after)
-    term_before = cell_terms(k_before, x_before)
-
-    ev_arrival = arrival[events]
-    if len(ev_arrival) == 0:
+    k0 = np.zeros(m, dtype=np.int64)
+    x0 = np.ones(m, dtype=np.int64) if SKETCHES[kind].neighbor_bit else None
+    arrivals, delta = change_deltas(bucket, geo, k0, x0)
+    if len(arrivals) == 0:
         zero = np.zeros(len(positions))
         return zero, zero.copy()
-    by_arrival = np.argsort(ev_arrival)
-    delta = (term_after - term_before)[by_arrival]
-    arrivals = ev_arrival[by_arrival]
-
-    sums = m + np.cumsum(delta)
-    pre = np.empty(len(delta))
-    pre[0] = m
-    pre[1:] = sums[:-1]
-    q = pre / m
+    q = pre_update_q(m, float(m), delta)
     cum_e = np.cumsum(1.0 / q)
     cum_v = np.cumsum((1.0 - q) / (q * q))
 
@@ -224,32 +170,16 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
     return e_at, v_at
 
 
-def _martingale_slow_trial(kind: str, m: int, seed: int, elements: np.ndarray,
-                           positions: np.ndarray) -> np.ndarray:
-    counter = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
-    out = np.empty(len(positions))
-    prev = 0
-    for i, pos in enumerate(positions):
-        for value in elements[prev:pos].tolist():
-            counter.insert(value)
-        prev = pos
-        out[i] = counter.estimate()
-    return out
-
-
 def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
               trial: int, martingale: bool, asymptotic: bool) -> np.ndarray:
     """Checkpoint estimates for one seeded trial of one sketch configuration."""
     elements = stream_u64(n, trial_stream_seed(seed, trial))
-    tailcut = issubclass(SKETCHES[kind], _TailCutBase)
-    if martingale and tailcut:
-        return _martingale_slow_trial(kind, m, seed, elements, positions)
     hashed = hash64_u64_array(elements, seed)
     bucket, geo = split_hash_array(hashed, m)
+    if issubclass(SKETCHES[kind], _TailCutBase):
+        return _tailcut_trial(kind, m, seed, bucket, geo, positions, asymptotic, martingale)
     if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
-    if tailcut:
-        return _tailcut_trial(kind, m, seed, bucket, geo, positions, asymptotic)
     return _mergeable_trial(kind, m, bucket, geo, positions, geo_width(m), asymptotic)
 
 
@@ -264,12 +194,18 @@ def _trial_block(args) -> tuple[str, int, np.ndarray]:
 def _estimates_matrix(config: SimulationConfig, kind: str) -> np.ndarray:
     m = config.registers_for(kind)
     positions = config.checkpoint_positions()
+    if not config.martingale and kind != "pcsa":
+        # quadrature here, once: forked workers inherit the cached constant
+        bias_constant(m, SKETCHES[kind].neighbor_bit, config.asymptotic)
     out = np.empty((config.trials, len(positions)))
     if config.workers <= 1:
         for t in range(config.trials):
             out[t] = run_trial(kind, m, config.n, positions, config.seed, t,
                                config.martingale, config.asymptotic)
         return out
+    # imported here: the pool machinery is most of this module's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = -(-config.trials // (config.workers * 4))
     tasks = [(kind, m, config.n, positions, config.seed, lo,
               min(lo + chunk, config.trials), config.martingale, config.asymptotic)

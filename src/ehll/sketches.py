@@ -39,7 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .hashing import geo_width, hash64, hash64_u64_array, split_hash, split_hash_array
+from .hashing import (
+    geo_width,
+    hash64,
+    hash64_tokens,
+    hash64_u64_array,
+    split_hash,
+    split_hash_array,
+)
 from .registers import BitArray, PackedRegisterArray
 
 REGISTER_WIDTH = 6  # enough for ranks up to 61 at b >= 4
@@ -93,18 +100,24 @@ def cell_indicator(k: np.ndarray, x: np.ndarray | None = None) -> float:
     return 1.0 / float(cell_terms(k, x).sum())
 
 
+def bias_constant(m: int, neighbor_bit: bool, asymptotic: bool = False) -> float:
+    """Bias correction of ``m`` cells: ``gamma_m`` with neighbor bits, else ``alpha_m``.
+
+    ``asymptotic`` swaps in the large-m limits, which need no quadrature.
+    """
+    if neighbor_bit:
+        return analysis.asymptotic_constants()[0] if asymptotic else analysis.gamma_m(m)
+    return 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(m)
+
+
 def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
                    asymptotic: bool = False) -> RawEstimate:
     """Bias-corrected estimate of ``m`` explicit cells, linear counting below 2.5 m.
 
-    Max-rank cells (``x`` is None) use ``alpha_m``, two-field cells
-    ``gamma_m``; ``asymptotic`` swaps in the large-m limits.
+    Max-rank cells (``x`` is None) and two-field cells take their
+    :func:`bias_constant`.
     """
-    if x is None:
-        bias = 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(m)
-    else:
-        bias = analysis.asymptotic_constants()[0] if asymptotic else analysis.gamma_m(m)
-    raw = bias * m * m * cell_indicator(k, x)
+    raw = bias_constant(m, x is not None, asymptotic) * m * m * cell_indicator(k, x)
     if raw < LC_THRESHOLD * m:
         v = int(np.count_nonzero(np.asarray(k) == 0))
         if v > 0:
@@ -189,6 +202,11 @@ class _SketchBase:
     def _split_batch(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return split_hash_array(hash64_u64_array(values, self.seed), self.m)
 
+    def split_tokens(self, buf, starts: np.ndarray,
+                     ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bucket, rank) arrays of the byte tokens ``buf[starts[i]:ends[i]]``."""
+        return split_hash_array(hash64_tokens(buf, starts, ends, self.seed), self.m)
+
     def _check_mergeable(self, other) -> None:
         if type(self) is not type(other):
             raise ValueError(f"cannot merge {self.kind} with {other.kind}")
@@ -216,6 +234,14 @@ class _SketchBase:
             raise TypeError(f"insert_batch needs an integer array, got {values.dtype}")
         bucket, geo = self._split_batch(values)
         self._insert_bg_batch(bucket, geo)
+
+    def insert_tokens(self, buf, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Insert the byte tokens ``buf[starts[i]:ends[i]]`` in order.
+
+        Hashed at once; the state equals :meth:`insert` of each token as
+        ``bytes``, so saved files are bit-identical.
+        """
+        self._insert_bg_batch(*self.split_tokens(buf, starts, ends))
 
     def _loaded(self) -> bool:
         """Whether inserts can produce a decoded state; if so, rebuild derived state."""
@@ -262,7 +288,8 @@ class PcsaSketch(_SketchBase):
         self.bitmaps.set_values(self.bitmaps.values() | present.reshape(-1))
 
     def estimate(self) -> RawEstimate:
-        return estimate_bitmap(self.bitmaps.values().reshape(self.m, self.L).astype(bool))
+        bits = np.unpackbits(self.bitmaps.buffer, count=self.m * self.L, bitorder="little")
+        return estimate_bitmap(bits.view(bool).reshape(self.m, self.L))
 
     def merge(self, other: "PcsaSketch") -> "PcsaSketch":
         self._check_mergeable(other)

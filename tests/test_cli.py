@@ -1,12 +1,19 @@
 """Command-line interface: outputs, exit codes, file round trips."""
 
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehll
+import ehll.cli
 from ehll.cli import main
 from ehll.oracle import exact_expectation_Y
-from ehll.serialization import load
+from ehll.serialization import SKETCHES, load, serialize
 
 
 def run(capsys, *argv):
@@ -270,3 +277,111 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     value = float(out.split()[1])
     # three distinct tokens, three occupied registers
     assert value == pytest.approx(1024 * math.log(1024 / 1021), rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# block token ingestion
+
+#: Awkward line endings: CRLF, runs of CR, blank and CR-only lines, embedded
+#: CR and NUL, non-ASCII, and a last line with no newline.
+AWKWARD = (b"alpha\r\nbeta\n\n\r\n\r\r\r\ngamma\r\r\n mid\rcr \n\x00nul\x00\n"
+           + "日本語\n".encode() + b"alpha\n" + b"x" * 40 + b"\r\n\n\n" + b"tail-no-newline\r")
+
+
+def reference_tokens(data: bytes) -> list[bytes]:
+    """Line by line, as the file iterator and ``rstrip(b"\\r\\n")`` give them."""
+    lines = (line.rstrip(b"\r\n") for line in io.BytesIO(data))
+    return [tok for tok in lines if tok]
+
+
+def block_tokens(path) -> list[bytes]:
+    return [data[s:e] for data, starts, ends in ehll.cli._token_blocks(str(path))
+            for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def test_token_lines_follow_the_line_rules(tmp_path):
+    path = tmp_path / "awkward.txt"
+    for data in (AWKWARD, AWKWARD + b"\n", b"", b"\n\n", b"\r", b"only", b"a\nb"):
+        path.write_bytes(data)
+        assert block_tokens(path) == reference_tokens(data), data
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_tokens_straddling_block_boundaries(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(ehll.cli, "BLOCK_BYTES", block)
+    path = tmp_path / "awkward.txt"
+    data = AWKWARD + b"".join(f"user-{i}\r\n".encode() for i in range(50))
+    path.write_bytes(data)
+    assert block_tokens(path) == reference_tokens(data)
+
+
+@pytest.mark.parametrize("kind", list(SKETCHES))
+def test_saved_sketch_equals_scalar_inserts(tmp_path, monkeypatch, capsys, kind):
+    # spans several blocks; b=4 makes the TailCut kinds clamp and replay
+    monkeypatch.setattr(ehll.cli, "BLOCK_BYTES", 4096)
+    data = AWKWARD + b"".join(f"tok-{i % 3000}\n".encode() for i in range(6000))
+    path, saved = tmp_path / "tok.txt", tmp_path / "s.bin"
+    path.write_bytes(data)
+    for b in (4, 10):
+        code, _, _ = run(capsys, "estimate", "--sketch", kind, "--b", str(b),
+                         "--seed", "5", str(path), "--save", str(saved))
+        assert code == 0
+        ref = SKETCHES[kind](b=b, seed=5)
+        ref.insert_all(reference_tokens(data))
+        assert saved.read_bytes() == serialize(ref), (kind, b)
+
+
+@pytest.mark.parametrize("extra", [[], ["--martingale"], ["--sketch", "ehll-tc", "--martingale"]])
+def test_stdin_output_equals_file_output(tmp_path, monkeypatch, capsys, extra):
+    data = AWKWARD + b"".join(f"user-{i % 700}\r\n".encode() for i in range(2000))
+    path = tmp_path / "tok.txt"
+    path.write_bytes(data)
+    from_file = run(capsys, "estimate", "--b", "8", *extra, str(path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    from_stdin = run(capsys, "estimate", "--b", "8", *extra, "-")
+    assert from_stdin == from_file
+    assert from_file[0] == 0
+
+
+def test_martingale_save_warns_that_e_and_v_are_not_kept(tmp_path, capsys):
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(f"t{i}\n" for i in range(500)))
+    f = tmp_path / "s.bin"
+    _, plain_out, plain_err = run(capsys, "estimate", "--martingale", "--b", "6", str(path))
+    code, out, err = run(capsys, "estimate", "--martingale", "--b", "6", str(path),
+                         "--save", str(f))
+    assert code == 0
+    assert out == plain_out and plain_err == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning:") and "martingale" in err
+    assert load(f).kind == "ehll"
+    # a plain save says nothing
+    assert run(capsys, "estimate", "--b", "6", str(path), "--save", str(f))[2] == ""
+
+
+def _fresh_python(code: str, *argv: str) -> str:
+    """stdout of ``code`` in a new interpreter that imports this ``ehll``."""
+    src = str(Path(ehll.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return res.stdout
+
+
+def test_cli_import_and_martingale_run_leave_scipy_unloaded(tmp_path):
+    assert _fresh_python("import sys, ehll.cli; print('scipy' in sys.modules)") == "False\n"
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(f"t{i}\n" for i in range(3000)))
+    out = _fresh_python(
+        "import sys\nfrom ehll.cli import main\n"
+        "code = main(['estimate', '--martingale', '--b', '8', sys.argv[1]])\n"
+        "print('scipy', 'scipy' in sys.modules, code)", str(path))
+    assert out.startswith("estimate ")
+    assert out.splitlines()[-1] == "scipy False 0"
+    # an estimate needs the quadrature constants, which do load it
+    out = _fresh_python(
+        "import sys\nfrom ehll.cli import main\n"
+        "code = main(['estimate', '--b', '8', sys.argv[1]])\n"
+        "print('scipy', 'scipy' in sys.modules, code)", str(path))
+    assert out.splitlines()[-1] == "scipy True 0"

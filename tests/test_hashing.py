@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehll.hashing import (
     geo_width,
     hash64,
+    hash64_tokens,
     hash64_u64_array,
     mix64,
     rho,
@@ -37,6 +40,46 @@ def test_hash_array_matches_scalar():
     batch = hash64_u64_array(values, seed=99)
     for v, h in zip(values.tolist(), batch.tolist()):
         assert hash64(v, seed=99) == h
+
+
+def _packed(tokens, gap=b""):
+    """One buffer holding ``tokens`` separated by ``gap``, with their offsets."""
+    buf, starts, ends = bytearray(), [], []
+    for tok in tokens:
+        buf += gap
+        starts.append(len(buf))
+        buf += tok
+        ends.append(len(buf))
+    return bytes(buf), np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+
+
+_TOKENS = st.one_of(
+    st.binary(min_size=1, max_size=200),
+    st.integers(1, 25).flatmap(lambda k: st.binary(min_size=8 * k, max_size=8 * k)),
+    st.text(min_size=1, max_size=60).map(lambda t: t.encode("utf-8")),
+    st.lists(st.sampled_from([b"\r", b"\0", b"a", b"\xff", "é".encode()]),
+             min_size=1, max_size=40).map(b"".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(_TOKENS, min_size=1, max_size=40),
+       gap=st.sampled_from([b"", b"\n", b"\x00\xff\r"]),
+       seed=st.integers(0, 2**64 - 1))
+def test_hash64_tokens_matches_hash64(tokens, gap, seed):
+    buf, starts, ends = _packed(tokens, gap)
+    got = hash64_tokens(buf, starts, ends, seed)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [hash64(tok, seed) for tok in tokens]
+
+
+def test_hash64_tokens_examples():
+    tokens = [b"", b"a", b"\r", b"\0" * 8, b"x" * 16, "日本語\r".encode(), b"y" * 17,
+              bytes(range(256))]
+    buf, starts, ends = _packed(tokens, b"\n")
+    assert hash64_tokens(buf, starts, ends, 7).tolist() == [hash64(t, 7) for t in tokens]
+    empty = hash64_tokens(b"", np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.uint64
 
 
 def test_seed_separation():

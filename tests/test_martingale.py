@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ehll.hashing import stream_u64
+import ehll.martingale
+from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
 from ehll.martingale import MartingaleCounter
+from ehll.serialization import SKETCHES
 from ehll.sketches import EhllSketch, HllSketch, PcsaSketch
 from ehll.tailcut import EhllTcSketch, HllTcSketch
 
@@ -148,3 +150,59 @@ def test_auto_resync_fires():
     c.updates_since_resync = (1 << 20) - 1
     c.insert(b"tick")
     assert c.updates_since_resync == 0
+
+
+# ---------------------------------------------------------------------------
+# block inserts
+
+def _block_stream(kind: str, b: int, n: int, seed: int) -> np.ndarray:
+    """Distinct elements plus duplicates, opening with ranks that clamp TailCut cells."""
+    pool = stream_u64(1 << 16, 1000 + seed)
+    _, geo = split_hash_array(hash64_u64_array(pool, seed), 1 << b)
+    body = stream_u64(n, seed)
+    rng = np.random.default_rng(seed)
+    dups = body[rng.integers(0, n, size=n // 4)]
+    return np.concatenate([pool[geo >= 17][:3], rng.permutation(np.concatenate([body, dups]))])
+
+
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
+@pytest.mark.parametrize("resync", [None, 37])
+def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
+    # random blocks, starting from a non-empty sketch, against insert() one by one
+    if resync:
+        monkeypatch.setattr(ehll.martingale, "RESYNC_INTERVAL", resync)
+    for b, n, seed in ((4, 3000, 1), (6, 5000, 2), (10, 4000, 3)):
+        stream = _block_stream(kind, b, n, seed)
+        scalar = MartingaleCounter(SKETCHES[kind](b=b, seed=seed))
+        block = MartingaleCounter(SKETCHES[kind](b=b, seed=seed))
+        head = 100  # inserted one by one into both
+        for v in stream[:head].tolist():
+            scalar.insert(v)
+            block.insert(v)
+        for v in stream[head:].tolist():
+            scalar.insert(v)
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(head, len(stream), size=12))
+        bucket, geo = split_hash_array(hash64_u64_array(stream, seed), 1 << b)
+        for lo, hi in zip([head, *cuts.tolist()], [*cuts.tolist(), len(stream)]):
+            block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
+        assert block.inner == scalar.inner
+        assert block.updates_since_resync == scalar.updates_since_resync
+        if kind.endswith("-tc"):  # replayed: bit-identical
+            assert (block.estimate(), block.retro_variance()) == (
+                scalar.estimate(), scalar.retro_variance())
+        else:
+            assert block.estimate() == pytest.approx(scalar.estimate(), rel=1e-12)
+            assert block.retro_variance() == pytest.approx(scalar.retro_variance(), rel=1e-12)
+        assert block.inner.change_probability() == pytest.approx(
+            scalar.inner.change_probability(), rel=1e-12)
+
+
+def test_block_insert_of_nothing_changes_nothing():
+    for kind in ("ehll", "ehll-tc"):
+        c = MartingaleCounter(SKETCHES[kind](b=4, seed=1))
+        c.insert_all(stream_u64(300, 8).tolist())
+        before = (c.estimate(), c.retro_variance(), c.inner.copy())
+        empty = np.zeros(0, dtype=np.int64)
+        c.insert_bg_batch(empty, empty)
+        assert (c.estimate(), c.retro_variance(), c.inner) == before

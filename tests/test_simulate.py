@@ -130,6 +130,17 @@ def test_martingale_trace_handles_fresh_positions():
     assert e[2] == e[1]  # duplicate outcome changes nothing
 
 
+def test_pool_workers_inherit_constants_from_the_parent():
+    from ehll import analysis
+
+    analysis._cache.clear()
+    cfg = SimulationConfig(kinds=("ehll", "hll"), b=4, n=300, trials=4,
+                           checkpoints=2, seed=1, workers=2)
+    simulate(cfg)
+    # computed in this process before the pool forked, not only in the workers
+    assert set(analysis._cache) == {("ehll", 16), ("hll", 16)}
+
+
 def test_simulate_rows_shape_and_invariants():
     cfg = SimulationConfig(kinds=("ehll", "hll"), b=4, n=400, trials=8,
                            checkpoints=4, seed=3)

@@ -14,6 +14,7 @@ from ehll.sketches import (
     HllSketch,
     PcsaSketch,
     cell_indicator,
+    estimate_bitmap,
 )
 
 
@@ -58,6 +59,25 @@ def test_pcsa_estimate_formula():
         single.bitmaps.set(i, 1)
     assert single.estimate().value == pytest.approx(2.0 ** 3 / PCSA_PHI)
     assert single.estimate().value == pytest.approx(10.34, abs=0.01)
+
+
+@pytest.mark.parametrize("b", [4, 10, 14])
+def test_pcsa_estimate_equals_presence_matrix(b):
+    # the packed-bit estimate is bit-identical to the explicit-matrix formula
+    rng = np.random.default_rng(b)
+    m = 1 << b
+    lanes = 65 - b
+    # per row a run of ones up to a random first zero, then random bits
+    first_zero = rng.integers(0, lanes + 1, size=m)
+    present = rng.random((m, lanes)) < 0.5
+    present[np.arange(lanes) < first_zero[:, None]] = True
+    present[np.arange(m)[first_zero < lanes], first_zero[first_zero < lanes]] = False
+    s = PcsaSketch(b=b)
+    s.bitmaps.set_values(present.reshape(-1))
+    got = s.estimate()
+    assert got == estimate_bitmap(present)
+    expected = m / PCSA_PHI * 2.0 ** float(first_zero.mean())
+    assert got.value == expected
 
 
 def test_pcsa_relative_error():
