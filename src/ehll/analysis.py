@@ -9,8 +9,10 @@ around ``n/m`` times a power integral of a fixed kernel:
 
 With ``I0(m) = int_0^inf k(u)^m du`` and ``I1(m) = int_0^inf u k(u)^m du``
 the bias correction is ``1/(m I0)`` and the relative-variance constant is
-``m (I1/I0^2 - 1)``.  Everything here is computed by adaptive quadrature,
-never from hardcoded decimal tables; the closed-form large-``m`` limits
+``m (I1/I0^2 - 1)``.  Everything here is computed by adaptive quadrature
+(:func:`ehll.quadpack.qags`, a plain-Python port of QUADPACK's QAGS that
+matches ``scipy.integrate.quad`` bit for bit), never from hardcoded
+decimal tables; the closed-form large-``m`` limits
 
     gamma = 2/(3 ln 2) ~ 0.962      beta = 41 ln 2 / 16 - 1 ~ 0.776
 
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .quadpack import MESSAGES, qags
 
 LN2 = math.log(2.0)
 
@@ -54,41 +58,51 @@ def hll_kernel(u):
     return np.log2((2.0 + u) / (1.0 + u))
 
 
+def _integrand(kernel: Callable[[float], float], m: int, p: int) -> Callable[[float], float]:
+    """Integrand on ``t`` in [0, 1) whose integral is ``m^(p+1) Ip``.
+
+    ``u^p kernel(u)^m`` under ``u = s/m``, ``s = t/(1-t)``, evaluated one
+    float at a time and in logs, so the m-th power cannot underflow
+    before the Jacobian ``1/(1-t)^2`` is applied.
+    """
+    def integrand(t: float) -> float:
+        s = t / (1.0 - t)
+        val = kernel(s / m)
+        if val <= 0.0 or (s == 0.0 and p):
+            return 0.0
+        logv = m * math.log(val) + (p * math.log(s) if p else 0.0)
+        return math.exp(logv) / (1.0 - t) ** 2
+    return integrand
+
+
 def power_integrals(kernel: Callable[[float], float], m: int,
                     epsabs: float = 1e-12, epsrel: float = 1e-10) -> tuple[float, float]:
     """``(I0, I1)`` where ``Ip = int_0^inf u^p kernel(u)^m du``.
 
     The integral is rescaled by ``u = s/m`` (the kernel falls off like
     ``1 - Theta(u)`` near zero, so the mass sits at ``u = O(1/m)``), then
-    mapped onto the unit interval by ``s = t/(1-t)``.  The transformed
-    integrand vanishes at ``t = 1`` for ``m >= 3`` and stays bounded at
-    ``m = 2``; both endpoints are handled by the open rule of QUADPACK.
+    mapped onto the unit interval by ``s = t/(1-t)``.  For ``m >= 3`` both
+    transformed integrands vanish at ``t = 1`` and :func:`ehll.quadpack.qags`
+    integrates them with nodes inside each subinterval.  (At ``m = 2`` the
+    ``I1`` integrand grows like ``1/(1-t)``, and QAGS would bisect toward
+    ``t = 1`` until a node rounds onto it.)
 
-    Raises :class:`QuadratureError` if the subdivision budget is exhausted
-    before the tolerance is met, and ``ValueError`` for ``m < 2`` where
-    the ``1/u`` tail of the kernel makes ``I0`` divergent.
+    Raises :class:`QuadratureError` if the quadrature reports an error
+    (subdivision budget exhausted, roundoff, ...) or its error estimate
+    is above tolerance, and ``ValueError`` for ``m < 3``: the kernels
+    decay like ``1/u``, so ``I0`` diverges at ``m = 1`` and ``I1`` at
+    ``m = 2``.
     """
-    if m < 2:
-        raise ValueError("power_integrals requires m >= 2 (I0 diverges at m = 1)")
-    # imported here: scipy costs most of the package's import time, and only
-    # the quadrature needs it
-    from scipy.integrate import quad
-
+    if m < 3:
+        raise ValueError("power_integrals requires m >= 3 "
+                         "(I0 diverges at m = 1, I1 at m = 2)")
     results = []
     for p in (0, 1):
-        def integrand(t: float, _p=p) -> float:
-            s = t / (1.0 - t)
-            val = kernel(s / m)
-            if val <= 0.0 or (s == 0.0 and _p):
-                return 0.0
-            logv = m * math.log(val) + (_p * math.log(s) if _p else 0.0)
-            return math.exp(logv) / (1.0 - t) ** 2
-
-        est, err, info, *msg = quad(integrand, 0.0, 1.0, epsabs=epsabs * m,
-                                    epsrel=epsrel * 0.1, limit=200, full_output=1)
-        if msg:
+        est, err, _, ier = qags(_integrand(kernel, m, p), 0.0, 1.0, epsabs=epsabs * m,
+                                epsrel=epsrel * 0.1, limit=200)
+        if ier:
             raise QuadratureError(
-                f"power integral p={p}, m={m} did not converge: {msg[0]}")
+                f"power integral p={p}, m={m} did not converge: {MESSAGES[ier]}")
         if err > max(epsabs * m, abs(est) * epsrel):
             raise QuadratureError(
                 f"power integral p={p}, m={m}: error estimate {err:.3e} above tolerance")

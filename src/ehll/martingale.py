@@ -186,9 +186,7 @@ class MartingaleCounter:
 
     def _replay(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         inner = self.inner
-        k = inner.effective_values()[bucket]
-        # ranks never fall: a rank below k - 1 (at most k without bits) changes nothing
-        reach = np.flatnonzero(geo >= k - 1 if inner.neighbor_bit else geo > k)
+        reach = inner._can_change(bucket, geo)
         e, v = self.estimate_value, self.retro_var
         for j, g in zip(bucket[reach].tolist(), geo[reach].tolist()):
             q = inner.change_probability()

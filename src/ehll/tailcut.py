@@ -21,8 +21,8 @@ ceiling, and no such evidence was retained.
 
 ``insert_batch`` processes chunks vectorized whenever no rank in the
 chunk can reach the clamp ceiling (the common case); chunks that could
-clamp are replayed element by element, so batch and sequential inserts
-are bit-identical.
+clamp replay, element by element, the elements that can still change
+their cell, so batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -129,8 +129,19 @@ class _TailCutBase(_RankSketch):
                 # no clamp reachable: capped max == plain max, order-free
                 super()._insert_bg_batch(bu, ge)
             else:
-                for j, g in zip(bu.tolist(), ge.tolist()):
+                idx = self._can_change(bu, ge)
+                for j, g in zip(bu[idx].tolist(), ge[idx].tolist()):
                     self._insert_bg(j, g)
+
+    def _can_change(self, bucket: np.ndarray, geo: np.ndarray) -> np.ndarray:
+        """Indices of the pairs that may change their cell if inserted in order.
+
+        A cell's effective value never falls (promotion keeps it, clamps
+        store at least the old value), so a rank below ``k - 1`` (at most
+        ``k`` without neighbor bits) at the start changes nothing later.
+        """
+        k = self.effective_values()[bucket]
+        return np.flatnonzero(geo >= k - 1 if self.neighbor_bit else geo > k)
 
     def _loaded(self) -> bool:
         # every update path promotes or re-encodes, leaving a zero offset

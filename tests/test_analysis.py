@@ -52,11 +52,15 @@ def test_two_field_kernel_below_max_rank_kernel():
 
 
 def test_power_integrals_require_m_ge_2():
-    # the kernels decay like 1/u, so the m = 1 integral diverges
+    # the kernels decay like 1/u, so I0 diverges at m = 1 and I1 at m = 2
     with pytest.raises(ValueError):
         power_integrals(hll_kernel, 1)
     with pytest.raises(ValueError):
         power_integrals(ehll_kernel, 1)
+    with pytest.raises(ValueError):
+        power_integrals(hll_kernel, 2)
+    with pytest.raises(ValueError):
+        power_integrals(ehll_kernel, 2)
 
 
 def test_integrals_match_asymptotics_at_1024():

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, file round trips."""
 
 import io
+import json
 import math
 import os
 import subprocess
@@ -379,9 +380,32 @@ def test_cli_import_and_martingale_run_leave_scipy_unloaded(tmp_path):
         "print('scipy', 'scipy' in sys.modules, code)", str(path))
     assert out.startswith("estimate ")
     assert out.splitlines()[-1] == "scipy False 0"
-    # an estimate needs the quadrature constants, which do load it
+    # an estimate needs the quadrature constants, which come from ehll.quadpack
     out = _fresh_python(
         "import sys\nfrom ehll.cli import main\n"
         "code = main(['estimate', '--b', '8', sys.argv[1]])\n"
         "print('scipy', 'scipy' in sys.modules, code)", str(path))
-    assert out.splitlines()[-1] == "scipy True 0"
+    assert out.splitlines()[-1] == "scipy False 0"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    tokens = tmp_path / "tok.txt"
+    tokens.write_text("".join(f"t{i}\n" for i in range(3000)))
+    more = tmp_path / "more.txt"
+    more.write_text("".join(f"u{i}\n" for i in range(3000)))
+    a, b, union = tmp_path / "a.bin", tmp_path / "b.bin", tmp_path / "u.bin"
+    commands = [
+        ["estimate", "--sketch", "hll-tc", "--b", "8", "--save", str(a), str(tokens)],
+        ["estimate", "--sketch", "hll-tc", "--b", "8", "--save", str(b), str(more)],
+        ["merge", str(a), str(b), "-o", str(union)],
+        ["constants", "--m", "1024"],
+        ["simulate", "--sketch", "ehll", "--sketch", "hll-tc", "--b", "6", "--n", "500",
+         "--trials", "2", "--checkpoints", "3"],
+    ]
+    out = _fresh_python(
+        "import json, sys\nfrom ehll.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    print('scipy', 'scipy' in sys.modules, main(argv))", json.dumps(commands))
+    assert [ln for ln in out.splitlines() if ln.startswith("scipy ")] == \
+        ["scipy False 0"] * len(commands)
+    assert load(union).kind == "hll-tc"
