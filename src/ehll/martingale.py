@@ -53,7 +53,13 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
     n = len(bucket)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    order = np.argsort(bucket, kind="stable")
+    # unstable sorts of unique keys (bucket, then maybe rank, above an arrival
+    # field of ``a`` bits) give the permutations of stable sorts
+    a = (n - 1).bit_length()
+    if (int(bucket.max()) + 1) * _RANK_STRIDE << a > 1 << 63:
+        raise ValueError(f"{n} arrivals over {int(bucket.max()) + 1} buckets overflow a sort key")
+    low, pos = (1 << a) - 1, np.arange(n, dtype=np.int64)
+    order = np.sort((bucket << a) | pos) & low
     bs, gs, arrival = bucket[order], geo[order], order
 
     # exclusive per-bucket running max, from the cell's rank, via offset-encoded cummax
@@ -70,7 +76,7 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
     grows = gs > prior_max
     if x0 is not None:
         # neighbor-bit event: rank == prior_max - 1, never seen before in bucket
-        occ = np.lexsort((arrival, gs, bs))
+        occ = np.sort((enc << a) | pos) & low  # by bucket, rank, arrival
         first_in_occ = np.empty(n, dtype=bool)
         first_in_occ[0] = True
         first_in_occ[1:] = (bs[occ][1:] != bs[occ][:-1]) | (gs[occ][1:] != gs[occ][:-1])

@@ -7,8 +7,12 @@ register, 7 per ExtendedHyperLogLog cell, 4-bit TailCut offsets) is only
 real if the buffer is exactly ``ceil(m * width / 8)`` bytes.
 
 Scalar get/set serve the per-element insert path; ``values()`` /
-``set_values()`` unpack and repack the whole array with vectorized bit
-arithmetic for the batch paths.
+``set_values()`` unpack and repack the whole array for the batch paths.
+Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
+whole-array codec reads each group of eight as one little-endian 64-bit
+word and shifts register ``i`` of the group by ``i * width``: one
+vectorized shift and mask over ``ceil(m / 8)`` words, the same bytes as
+the scalar layout.
 
 Arrays are single-writer: concurrent readers are safe only while no
 writer is active, and instances can be handed between threads.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 _U8 = np.uint8
-_U16 = np.uint16
+_WORD = np.dtype("<u8")  # one group of eight registers
 
 
 class PackedRegisterArray:
@@ -67,16 +71,20 @@ class PackedRegisterArray:
         else:
             self.buffer[byte] = (word & ~mask & 0xFF) | (v << shift)
 
+    def _groups(self) -> tuple[int, np.ndarray]:
+        """Number of eight-register words, and each lane's shift in its word."""
+        return -(-self.m // 8), np.arange(0, 8 * self.width, self.width, dtype=_WORD)
+
     def values(self) -> np.ndarray:
         """Unpack all registers into an int64 array."""
-        bits = np.arange(self.m, dtype=np.int64) * self.width
-        byte, shift = bits >> 3, (bits & 7).astype(_U16)
-        lo = self.buffer[byte].astype(_U16)
-        hi = np.zeros(self.m, dtype=_U16)
-        has_hi = byte + 1 < len(self.buffer)
-        hi[has_hi] = self.buffer[byte[has_hi] + 1]
-        word = lo | (hi << _U16(8))
-        return ((word >> shift) & _U16((1 << self.width) - 1)).astype(np.int64)
+        groups, shifts = self._groups()
+        packed = np.zeros(groups * self.width, dtype=_U8)
+        packed[:len(self.buffer)] = self.buffer
+        raw = np.zeros((groups, 8), dtype=_U8)
+        raw[:, :self.width] = packed.reshape(groups, self.width)
+        vals = raw.view(_WORD) >> shifts
+        vals &= _WORD.type((1 << self.width) - 1)
+        return vals.reshape(-1)[:self.m].view(np.int64)
 
     def set_values(self, vals: np.ndarray) -> None:
         """Repack the whole array from an int array of register values."""
@@ -85,15 +93,12 @@ class PackedRegisterArray:
             raise ValueError(f"expected {self.m} values, got shape {vals.shape}")
         if vals.min() < 0 or vals.max() >= (1 << self.width):
             raise ValueError(f"values do not fit in {self.width} bits")
-        bits = np.arange(self.m, dtype=np.int64) * self.width
-        byte, shift = bits >> 3, (bits & 7)
-        word = vals.astype(_U16) << shift.astype(_U16)
-        buf = np.zeros(len(self.buffer), dtype=_U8)
-        np.bitwise_or.at(buf, byte, (word & _U16(0xFF)).astype(_U8))
-        hi = (word >> _U16(8)).astype(_U8)
-        has_hi = hi != 0
-        np.bitwise_or.at(buf, byte[has_hi] + 1, hi[has_hi])
-        self.buffer = buf
+        groups, shifts = self._groups()
+        lanes = np.zeros((groups, 8), dtype=_WORD)
+        lanes.reshape(-1)[:self.m] = vals
+        words = np.bitwise_or.reduce(lanes << shifts, axis=1)
+        packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
+        self.buffer = packed[:len(self.buffer)]
 
     def zero_count(self) -> int:
         """Number of registers equal to 0 (the V of LinearCounting)."""
@@ -169,6 +174,12 @@ class BitArray:
         pad = (self.m + 7) // 8 - len(self.buffer)
         if pad:
             self.buffer = np.concatenate([self.buffer, np.zeros(pad, dtype=_U8)])
+
+    def set_ones(self, idx: np.ndarray) -> None:
+        """Set the bits at ``idx`` (repeats allowed) to 1."""
+        bits = np.unpackbits(self.buffer, count=self.m, bitorder="little")
+        bits[idx] = 1
+        self.buffer = np.packbits(bits, bitorder="little")
 
     def or_with(self, other: "BitArray") -> None:
         """Word-wise OR merge (used by the bitmap sketch union)."""

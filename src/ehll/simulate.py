@@ -11,12 +11,13 @@ payload bits within one register of rounding: with a baseline of
 ``m0 = 2**b`` two-field cells (7 bits each), the max-rank sketch gets
 ``ceil(7/6 * m0)`` registers and its TailCut variant ``5/4 * m0``.
 
-Trials are vectorized: the mergeable sketches derive their registers
-from a per-bucket rank-occupancy matrix, and the martingale estimators
-reduce to a scan over state-change events (a few thousand per trial),
-whose change probabilities come from one cumulative sum in arrival
-order.  Both paths are tested bit-for-bit (to float tolerance) against
-the element-at-a-time reference implementations.
+Trials are vectorized: each trial feeds the production sketch (or its
+martingale counter) one stream segment per checkpoint through the batch
+path, whose cost is linear in the segment plus the register count.  An
+order-free martingale reduces to a scan over state-change events (a few
+thousand per trial), whose change probabilities come from one cumulative
+sum in arrival order; it is tested to float tolerance against the
+element-at-a-time counter.
 
 Per-trial RNG streams are derived from ``(seed, trial index)`` alone and
 results are keyed by trial index, so any worker count yields the same
@@ -32,7 +33,6 @@ import numpy as np
 from .hashing import (
     MASK64,
     _SEED_TWEAK,
-    geo_width,
     hash64_u64_array,
     mix64,
     split_hash_array,
@@ -40,7 +40,7 @@ from .hashing import (
 )
 from .martingale import MartingaleCounter, change_deltas, pre_update_q
 from .serialization import SKETCHES
-from .sketches import _cells_from_presence, bias_constant, estimate_bitmap, estimate_cells
+from .sketches import bias_constant
 from .tailcut import _TailCutBase
 
 #: matched-memory register multipliers relative to the two-field baseline
@@ -108,44 +108,6 @@ def trial_stream_seed(seed: int, trial: int) -> int:
 # ---------------------------------------------------------------------------
 # vectorized trial paths
 
-def _mergeable_trial(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
-                     positions: np.ndarray, width: int, asymptotic: bool) -> np.ndarray:
-    lanes = width + 1
-    flat = np.zeros(m * lanes, dtype=bool)
-    out = np.empty(len(positions))
-    prev = 0
-    key = bucket * lanes + (geo - 1)
-    for i, pos in enumerate(positions):
-        flat |= np.bincount(key[prev:pos], minlength=m * lanes).astype(bool)
-        prev = pos
-        present = flat.reshape(m, lanes)
-        if kind == "pcsa":
-            out[i] = estimate_bitmap(present).value
-        else:
-            k, x = _cells_from_presence(present)
-            x = x if SKETCHES[kind].neighbor_bit else None
-            out[i] = estimate_cells(m, k, x, asymptotic).value
-    return out
-
-
-def _tailcut_trial(kind: str, m: int, seed: int, bucket: np.ndarray, geo: np.ndarray,
-                   positions: np.ndarray, asymptotic: bool, martingale: bool) -> np.ndarray:
-    """Order-dependent sketches: feed the sketch (or its martingale) block by block."""
-    sketch = SKETCHES[kind](m=m, seed=seed)
-    counter = MartingaleCounter(sketch) if martingale else None
-    out = np.empty(len(positions))
-    prev = 0
-    for i, pos in enumerate(positions):
-        if martingale:
-            counter.insert_bg_batch(bucket[prev:pos], geo[prev:pos])
-            out[i] = counter.estimate()
-        else:
-            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
-            out[i] = sketch.estimate(asymptotic=asymptotic).value
-        prev = pos
-    return out
-
-
 def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
                      positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, V) of the martingale estimator at each checkpoint, fully vectorized.
@@ -172,15 +134,30 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
 
 def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
               trial: int, martingale: bool, asymptotic: bool) -> np.ndarray:
-    """Checkpoint estimates for one seeded trial of one sketch configuration."""
+    """Checkpoint estimates for one seeded trial of one sketch configuration.
+
+    The sketch (or its martingale counter) takes the stream one segment
+    per checkpoint; an order-free martingale reduces to
+    :func:`martingale_trace`.
+    """
     elements = stream_u64(n, trial_stream_seed(seed, trial))
     hashed = hash64_u64_array(elements, seed)
     bucket, geo = split_hash_array(hashed, m)
-    if issubclass(SKETCHES[kind], _TailCutBase):
-        return _tailcut_trial(kind, m, seed, bucket, geo, positions, asymptotic, martingale)
-    if martingale:
+    if martingale and not issubclass(SKETCHES[kind], _TailCutBase):
         return martingale_trace(kind, m, bucket, geo, positions)[0]
-    return _mergeable_trial(kind, m, bucket, geo, positions, geo_width(m), asymptotic)
+    sketch = SKETCHES[kind](m=m, seed=seed)
+    counter = MartingaleCounter(sketch) if martingale else None
+    out = np.empty(len(positions))
+    prev = 0
+    for i, pos in enumerate(positions):
+        if counter:
+            counter.insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            out[i] = counter.estimate()
+        else:
+            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            out[i] = sketch.estimate(asymptotic=asymptotic).value
+        prev = pos
+    return out
 
 
 def _trial_block(args) -> tuple[str, int, np.ndarray]:

@@ -151,30 +151,11 @@ def merge_ehll_cells(
     x_a = np.asarray(x_a, dtype=np.int64)
     x_b = np.asarray(x_b, dtype=np.int64)
     k_hi = np.maximum(k_a, k_b)
-    k_lo = np.minimum(k_a, k_b)
-    x_hi = np.where(k_a >= k_b, x_a, x_b)
-    gap = k_hi - k_lo
-    x = np.where(gap == 0, x_a | x_b, np.where(gap == 1, 1, x_hi))
-    # an empty (0, 1) side is the identity and must not fake a neighbor hit
-    x = np.where((k_lo == 0) & (k_hi > 0), x_hi, x)
-    return k_hi, x
-
-
-def _shadow_counts(bucket: np.ndarray, geo: np.ndarray, m: int, width: int) -> np.ndarray:
-    """Per-bucket occupancy of each rank lane, as an (m, width+1) bool array."""
-    lanes = width + 1
-    key = bucket * lanes + (geo - 1)
-    return (np.bincount(key, minlength=m * lanes) > 0).reshape(m, lanes)
-
-
-def _cells_from_presence(present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derive (max rank, neighbor bit) per bucket from a rank-presence matrix."""
-    m, lanes = present.shape
-    any_set = present.any(axis=1)
-    c1 = np.where(any_set, lanes - np.argmax(present[:, ::-1], axis=1), 0)
-    neighbor = present[np.arange(m), np.maximum(c1 - 2, 0)]
-    c2 = np.where(c1 <= 1, 1, neighbor.astype(np.int64))
-    return c1.astype(np.int64), c2
+    # ranks one apart; an empty (0, 1) side is the identity, not a neighbor hit
+    x = (k_a + k_b == 2 * k_hi - 1) & (k_a > 0) & (k_b > 0)
+    x |= (x_a == 1) & (k_a == k_hi)  # a side holding the max keeps its bit
+    x |= (x_b == 1) & (k_b == k_hi)
+    return k_hi, x.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +265,10 @@ class PcsaSketch(_SketchBase):
         return True
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        present = _shadow_counts(bucket, geo, self.m, self.width)
-        self.bitmaps.set_values(self.bitmaps.values() | present.reshape(-1))
+        self.bitmaps.set_ones(bucket * self.L + (geo - 1))
 
-    def estimate(self) -> RawEstimate:
+    def estimate(self, asymptotic: bool = False) -> RawEstimate:
+        """Bitmap estimate; ``asymptotic`` is ignored (``PCSA_PHI`` has no finite-m form)."""
         bits = np.unpackbits(self.bitmaps.buffer, count=self.m * self.L, bitorder="little")
         return estimate_bitmap(bits.view(bool).reshape(self.m, self.L))
 
@@ -395,7 +376,14 @@ class _RankSketch(_SketchBase):
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         # the batch's own cells, unioned in: exact because cells are order-free
-        k, x = _cells_from_presence(_shadow_counts(bucket, geo, self.m, self.width))
+        k = np.zeros(self.m, dtype=np.int64)
+        np.maximum.at(k, bucket, geo)
+        x = None
+        if self.neighbor_bit:
+            # a rank one below its cell's max proves the neighbor coupon
+            x = np.zeros(self.m, dtype=np.int64)
+            x[bucket[geo == k[bucket] - 1]] = 1
+            x[k <= 1] = 1
         k, x = self._union(*self._cells(), k, x)
         self._store(k, x)
         self._rebuild(k, x)

@@ -19,10 +19,12 @@ bit.  When a clamp actually truncates a cell's rank, the neighbor bit is
 stored as 0: the bit would describe the rank just below the *stored*
 ceiling, and no such evidence was retained.
 
-``insert_batch`` processes chunks vectorized whenever no rank in the
-chunk can reach the clamp ceiling (the common case); chunks that could
-clamp replay, element by element, the elements that can still change
-their cell, so batch and sequential inserts are bit-identical.
+Cells interact only through the base, and the base moves only when the
+last zero offset lifts.  So ``insert_batch`` cuts a batch at each such
+promotion; within a piece the base is fixed, a cell that meets no rank
+above the ceiling ``base + 15`` is order-free and goes in with the
+vectorized union, and the few cells that do meet one replay their
+elements in order.  Batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .sketches import _RankSketch, _SketchBase
 
 OFFSET_WIDTH = 4
 OFFSET_MAX = (1 << OFFSET_WIDTH) - 1
-_BATCH_CHUNK = 4096
 
 
 class _TailCutBase(_RankSketch):
@@ -122,16 +123,29 @@ class _TailCutBase(_RankSketch):
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        for lo in range(0, len(bucket), _BATCH_CHUNK):
-            bu = bucket[lo:lo + _BATCH_CHUNK]
-            ge = geo[lo:lo + _BATCH_CHUNK]
-            if ge.max(initial=0) <= self.base + OFFSET_MAX:
-                # no clamp reachable: capped max == plain max, order-free
-                super()._insert_bg_batch(bu, ge)
-            else:
-                idx = self._can_change(bu, ge)
-                for j, g in zip(bu[idx].tolist(), ge[idx].tolist()):
-                    self._insert_bg(j, g)
+        lo = 0
+        while lo < len(bucket):
+            bu, ge = bucket[lo:], geo[lo:]
+            # the base holds until every zero-offset cell has been lifted
+            zero = self.offsets.values() == 0
+            up = np.flatnonzero((ge > self.base) & zero[bu])
+            first_lift = np.full(self.m, len(bu))
+            np.minimum.at(first_lift, bu[up], up)
+            end = min(int(first_lift[zero].max()) + 1, len(bu))
+            bu, ge = bu[:end], ge[:end]
+            # cells that meet a rank above the clamp ceiling replay in order, and
+            # first: a promotion they cause can only be at the piece's last element
+            spiked = np.zeros(self.m, dtype=bool)
+            spiked[bu[ge > self.base + OFFSET_MAX]] = True
+            own = spiked[bu]
+            idx = np.flatnonzero(own)
+            if len(idx):
+                idx = idx[self._can_change(bu[idx], ge[idx])]
+            for j, g in zip(bu[idx].tolist(), ge[idx].tolist()):
+                self._insert_bg(j, g)
+            # the other cells never clamp under this base: order-free
+            super()._insert_bg_batch(bu[~own], ge[~own])
+            lo += end
 
     def _can_change(self, bucket: np.ndarray, geo: np.ndarray) -> np.ndarray:
         """Indices of the pairs that may change their cell if inserted in order.
