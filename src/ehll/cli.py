@@ -98,6 +98,8 @@ def _resume(args):
 
 
 def cmd_estimate(args) -> int:
+    if args.martingale and args.sketch == "pcsa":
+        raise ValueError("the bitmap sketch has no change probability")
     if args.load:
         sketch = _resume(args)
     else:

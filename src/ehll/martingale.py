@@ -17,11 +17,12 @@ The wrapped sketch maintains its change-probability sum incrementally;
 to bound floating drift the sum is recomputed exactly from the registers
 every ``2**20`` updates (and on demand via :meth:`resync`).
 
-Blocks of elements go in at once (:meth:`MartingaleCounter.insert_bg_batch`).
-For the order-free sketches the state changes of a block are located
-vectorized (:func:`change_deltas`) and their ``q`` come from one cumulative
-sum in arrival order; TailCut sketches replay the elements that can
-change a cell.
+Blocks of elements go in at once (:meth:`MartingaleCounter.insert_bg_batch`)
+along the runs the sketch cuts a block into (one run for the order-free
+sketches): the state changes of a run are located vectorized
+(:func:`change_deltas`) and their ``q`` come from one cumulative sum in
+arrival order; the element at a cut goes in alone, as :meth:`insert`
+takes it.
 
 A counter is strictly single-threaded (sequential semantics are the
 whole point) but can be handed off between threads.
@@ -34,21 +35,20 @@ import math
 import numpy as np
 
 from .sketches import cell_terms
-from .tailcut import _TailCutBase
 
 RESYNC_INTERVAL = 1 << 20
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
 
 
 def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
-                  x0: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                  x0: np.ndarray | None, terms=cell_terms) -> tuple[np.ndarray, np.ndarray]:
     """Arrival index and cell-term change of every state change, in arrival order.
 
     The (bucket, rank) pairs arrive in order on the cells ``(k0, x0)``
     (``x0`` is None for max-rank cells).  State changes are sparse, so
     this locates them, reconstructs each cell's state just before and
-    after, and differences the cell terms; order-free cells make that
-    exact.
+    after, and differences the cell terms ``terms(k, x)`` (a sketch's own
+    ``_terms``, say); order-free cells make that exact.
     """
     n = len(bucket)
     if n == 0:
@@ -108,8 +108,8 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
             x_before[ev_start] = x0[ev_bucket[ev_start]]
     else:
         x_after = x_before = None
-    term_after = cell_terms(k_after, x_after)
-    term_before = cell_terms(k_before, x_before)
+    term_after = terms(k_after, x_after)
+    term_before = terms(k_before, x_before)
 
     ev_arrival = arrival[events]
     by_arrival = np.argsort(ev_arrival)
@@ -160,46 +160,39 @@ class MartingaleCounter:
         """Insert a block of (bucket, rank) pairs in arrival order.
 
         E, V and the inner sketch end as after :meth:`insert` of each
-        element in turn.  A TailCut sketch is replayed element by element,
-        which is bit-identical.  An order-free sketch takes one vectorized
-        pass, whose ``q`` come from a plain running sum where the scalar
-        path keeps a compensated one: equal up to rounding, and exact
-        while the term sum fits a double (ranks up to about 40 at m=2^12).
+        element in turn.  The block goes along the sketch's runs: a run's
+        ``q`` come from a plain running sum where the scalar path keeps a
+        compensated one, and the element at a cut takes the scalar step.
+        A TailCut term sum is always exact, since every term is a multiple
+        of ``2^-(base+15)`` and the sum is below ``3 m 2^-base``, so its
+        block inserts are bit-identical.  An order-free sketch's are equal
+        up to rounding, and exactly equal while its term sum fits a double
+        (ranks up to about 40 at m=2^12).
 
         Resyncs due inside a block happen once at its end.  They cannot
-        move a number: the order-free pass leaves the term sum exact, and
-        a TailCut sum is always exact, since every term is a multiple of
-        ``2^-(base+15)`` and the sum is below ``3 m 2^-base``.
+        move a number: a run leaves the term sum exact, and so does every
+        TailCut step.
         """
-        if isinstance(self.inner, _TailCutBase):
-            self._replay(bucket, geo)
-        else:
-            self._trace(bucket, geo)
-        u = self.updates_since_resync + len(bucket)
+        inner, n = self.inner, len(bucket)
+        for lo, hi in inner._runs(bucket, geo):
+            bu, ge, cells = bucket[lo:hi], geo[lo:hi], inner._cells()
+            _, delta = change_deltas(bu, ge, *cells, inner._terms)
+            if len(delta):
+                q = pre_update_q(inner.m, inner._sum, delta)
+                # accumulated from the running values, in order, as insert() adds them
+                e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()
+                v = np.concatenate(([self.retro_var], (1.0 - q) / (q * q))).cumsum()
+                self.estimate_value, self.retro_var = float(e[-1]), float(v[-1])
+            inner._union_batch(bu, ge, *cells)
+            if hi < n:  # the cut element: insert()'s scalar step
+                q = inner.change_probability()
+                if inner._insert_bg(int(bucket[hi]), int(geo[hi])):
+                    self.estimate_value += 1.0 / q
+                    self.retro_var += (1.0 - q) / (q * q)
+        u = self.updates_since_resync + n
         if u >= RESYNC_INTERVAL:
             self.resync()
         self.updates_since_resync = u % RESYNC_INTERVAL
-
-    def _trace(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        inner = self.inner
-        _, delta = change_deltas(bucket, geo, *inner._cells())
-        if len(delta):
-            q = pre_update_q(inner.m, inner._sum, delta)
-            # accumulated from the running values, in order, as insert() adds them
-            self.estimate_value = float(np.cumsum(np.r_[self.estimate_value, 1.0 / q])[-1])
-            self.retro_var = float(np.cumsum(np.r_[self.retro_var, (1.0 - q) / (q * q)])[-1])
-        inner._insert_bg_batch(bucket, geo)
-
-    def _replay(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        inner = self.inner
-        reach = inner._can_change(bucket, geo)
-        e, v = self.estimate_value, self.retro_var
-        for j, g in zip(bucket[reach].tolist(), geo[reach].tolist()):
-            q = inner.change_probability()
-            if inner._insert_bg(j, g):
-                e += 1.0 / q
-                v += (1.0 - q) / (q * q)
-        self.estimate_value, self.retro_var = e, v
 
     def estimate(self) -> float:
         return self.estimate_value

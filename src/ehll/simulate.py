@@ -7,9 +7,10 @@ checkpoints.  Aggregates are relative bias and relative RMSE per
 checkpoint, emitted as CSV (and optionally a simple SVG chart).
 
 Matched-memory mode sizes the compared sketches to equal register
-payload bits within one register of rounding: with a baseline of
-``m0 = 2**b`` two-field cells (7 bits each), the max-rank sketch gets
-``ceil(7/6 * m0)`` registers and its TailCut variant ``5/4 * m0``.
+payload bits within one register of rounding: two-field kinds keep
+``m0 = 2**b`` cells, and a max-rank kind of ``w`` bits per cell gets
+``ceil((w + 1) / w * m0)``, its two-field twin's bits (``ceil(7/6 * m0)``
+for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
 Trials are vectorized: each trial feeds the production sketch (or its
 martingale counter) one stream segment per checkpoint through the batch
@@ -43,10 +44,6 @@ from .serialization import SKETCHES
 from .sketches import bias_constant
 from .tailcut import _TailCutBase
 
-#: matched-memory register multipliers relative to the two-field baseline
-MEMORY_MATCH = {"hll": (7, 6), "hll-tc": (5, 4), "ehll": (1, 1), "ehll-tc": (1, 1)}
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     kinds: tuple[str, ...] = ("ehll",)
@@ -61,6 +58,8 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not 4 <= self.b <= 18:
+            raise ValueError(f"precision b must be in [4, 18], got {self.b}")
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
         if self.checkpoints < 1:
@@ -70,17 +69,18 @@ class SimulationConfig:
         for kind in self.kinds:
             if kind not in SKETCHES:
                 raise ValueError(f"unknown sketch kind {kind!r}")
-            if self.match_memory and kind not in MEMORY_MATCH:
+            if self.match_memory and kind == "pcsa":
                 raise ValueError(f"matched-memory mode does not size {kind!r}")
             if self.martingale and kind == "pcsa":
                 raise ValueError("the bitmap sketch has no change probability")
 
     def registers_for(self, kind: str) -> int:
         m0 = 1 << self.b
-        if not self.match_memory:
+        if not self.match_memory or SKETCHES[kind].neighbor_bit:
             return m0
-        num, den = MEMORY_MATCH[kind]
-        return -(-num * m0 // den)  # ceil
+        # a max-rank cell of w bits plus one bit is its two-field twin's cell
+        w = SKETCHES[kind](m=1).memory_bits()
+        return -(-(w + 1) * m0 // w)  # ceil
 
     def checkpoint_positions(self) -> np.ndarray:
         step = -(-self.n // self.checkpoints)

@@ -285,7 +285,7 @@ class _RankSketch(_SketchBase):
     A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
     (one cell), ``effective_values``/``_set_ranks`` (all cells), and may
     refine ``_clamp``, ``_term``/``_terms``, ``_after_insert``, ``_load``,
-    ``_rebuild`` and ``_loaded``.  Neighbor bits live in ``bits``.
+    ``_rebuild``, ``_runs`` and ``_loaded``.  Neighbor bits live in ``bits``.
     """
 
     neighbor_bit = False
@@ -374,8 +374,24 @@ class _RankSketch(_SketchBase):
         self._after_insert(k, new_k)
         return True
 
+    def _runs(self, bucket: np.ndarray, geo: np.ndarray):
+        """Yield ``(lo, hi)``: pairs ``[lo, hi)`` are order-free, then pair ``hi`` alone.
+
+        The caller applies each run (and its cut pair, if ``hi`` is in the
+        batch) before the generator resumes, so a codec can read the state
+        the run left.  The plain rule ignores order: one run.
+        """
+        yield 0, len(bucket)
+
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        # the batch's own cells, unioned in: exact because cells are order-free
+        for lo, hi in self._runs(bucket, geo):
+            self._union_batch(bucket[lo:hi], geo[lo:hi], *self._cells())
+            if hi < len(bucket):
+                self._insert_bg(int(bucket[hi]), int(geo[hi]))
+
+    def _union_batch(self, bucket: np.ndarray, geo: np.ndarray,
+                     k0: np.ndarray, x0: np.ndarray | None) -> None:
+        """Union an order-free run of pairs into the current cells ``(k0, x0)``."""
         k = np.zeros(self.m, dtype=np.int64)
         np.maximum.at(k, bucket, geo)
         x = None
@@ -384,7 +400,7 @@ class _RankSketch(_SketchBase):
             x = np.zeros(self.m, dtype=np.int64)
             x[bucket[geo == k[bucket] - 1]] = 1
             x[k <= 1] = 1
-        k, x = self._union(*self._cells(), k, x)
+        k, x = self._union(k0, x0, k, x)
         self._store(k, x)
         self._rebuild(k, x)
 

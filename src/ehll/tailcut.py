@@ -20,11 +20,12 @@ stored as 0: the bit would describe the rank just below the *stored*
 ceiling, and no such evidence was retained.
 
 Cells interact only through the base, and the base moves only when the
-last zero offset lifts.  So ``insert_batch`` cuts a batch at each such
-promotion; within a piece the base is fixed, a cell that meets no rank
-above the ceiling ``base + 15`` is order-free and goes in with the
-vectorized union, and the few cells that do meet one replay their
-elements in order.  Batch and sequential inserts are bit-identical.
+last zero offset lifts; under a fixed base only a rank above the ceiling
+``base + 15`` can clamp.  So order matters at two kinds of element, and
+``_runs`` cuts a batch at each: the element that lifts the last zero
+offset, and each rank above the ceiling.  Between cuts the cell rule is
+the plain one and the run goes in with the vectorized union; a cut
+element goes in alone.  Batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class _TailCutBase(_RankSketch):
         self.resync_term_sum()
 
     def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        self._promote_base()
+        # a run stops short of the last zero offset's lift: no promotion here
+        self._zero_offsets = int(np.count_nonzero(k == self.base))
+        super()._rebuild(k, x)
 
     def _encode_effective(self, eff: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Canonical (base, offsets, truncated-mask) encoding of effective values."""
@@ -122,40 +125,25 @@ class _TailCutBase(_RankSketch):
         self._zero_offsets = int(np.count_nonzero(offs == 0))
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
-    def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        lo = 0
-        while lo < len(bucket):
+    def _runs(self, bucket: np.ndarray, geo: np.ndarray):
+        lo, n = 0, len(bucket)
+        while lo < n:
             bu, ge = bucket[lo:], geo[lo:]
             # the base holds until every zero-offset cell has been lifted
-            zero = self.offsets.values() == 0
-            up = np.flatnonzero((ge > self.base) & zero[bu])
-            first_lift = np.full(self.m, len(bu))
-            np.minimum.at(first_lift, bu[up], up)
-            end = min(int(first_lift[zero].max()) + 1, len(bu))
-            bu, ge = bu[:end], ge[:end]
-            # cells that meet a rank above the clamp ceiling replay in order, and
-            # first: a promotion they cause can only be at the piece's last element
-            spiked = np.zeros(self.m, dtype=bool)
-            spiked[bu[ge > self.base + OFFSET_MAX]] = True
-            own = spiked[bu]
-            idx = np.flatnonzero(own)
-            if len(idx):
-                idx = idx[self._can_change(bu[idx], ge[idx])]
-            for j, g in zip(bu[idx].tolist(), ge[idx].tolist()):
-                self._insert_bg(j, g)
-            # the other cells never clamp under this base: order-free
-            super()._insert_bg_batch(bu[~own], ge[~own])
-            lo += end
-
-    def _can_change(self, bucket: np.ndarray, geo: np.ndarray) -> np.ndarray:
-        """Indices of the pairs that may change their cell if inserted in order.
-
-        A cell's effective value never falls (promotion keeps it, clamps
-        store at least the old value), so a rank below ``k - 1`` (at most
-        ``k`` without neighbor bits) at the start changes nothing later.
-        """
-        k = self.effective_values()[bucket]
-        return np.flatnonzero(geo >= k - 1 if self.neighbor_bit else geo > k)
+            end = len(bu)
+            if end >= self._zero_offsets:  # each element lifts at most one
+                zero = self.offsets.values() == 0
+                up = np.flatnonzero((ge > self.base) & zero[bu])
+                first_lift = np.full(self.m, end)
+                np.minimum.at(first_lift, bu[up], up)
+                end = int(first_lift[zero].max())
+            # under this base only a rank above the ceiling can clamp
+            cuts = np.flatnonzero(ge[:end] > self.base + OFFSET_MAX).tolist()
+            start = lo
+            for cut in (*cuts, end):
+                yield start, lo + cut
+                start = lo + cut + 1
+            lo = start
 
     def _loaded(self) -> bool:
         # every update path promotes or re-encodes, leaving a zero offset
@@ -170,7 +158,7 @@ class HllTcSketch(_TailCutBase):
     _arrays = ("offsets",)
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate
-    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _TailCutBase._insert_bg_batch
+    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _RankSketch._insert_bg_batch
 
 
 class EhllTcSketch(_TailCutBase):
@@ -181,4 +169,4 @@ class EhllTcSketch(_TailCutBase):
     _arrays = ("offsets", "bits")
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate
-    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _TailCutBase._insert_bg_batch
+    _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _RankSketch._insert_bg_batch

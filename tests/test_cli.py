@@ -95,6 +95,14 @@ def test_estimate_martingale_load_exits_2(tmp_path, capsys):
     assert out == "" and "martingale" in err
 
 
+def test_estimate_pcsa_martingale_exits_2(tmp_path, capsys):
+    path = tmp_path / "tok.txt"
+    path.write_text("a\nb\n")
+    code, out, err = run(capsys, "estimate", "--sketch", "pcsa", "--martingale", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: the bitmap sketch has no change probability\n"
+
+
 def test_estimate_load_conflicting_flags_exit_2(tmp_path, capsys):
     path = tmp_path / "tok.txt"
     path.write_text("a\nb\nc\n")
@@ -202,6 +210,15 @@ def test_simulate_bad_config_exits_2(capsys):
                        "--n", "10", "--trials", "2")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--martingale"]])
+@pytest.mark.parametrize("b", ["3", "19"])
+def test_simulate_precision_out_of_range_exits_2(capsys, b, extra):
+    code, out, err = run(capsys, "simulate", "--sketch", "ehll", "--b", b, *extra,
+                         "--n", "10", "--trials", "2", "--checkpoints", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: precision b must be in [4, 18], got {b}\n"
 
 
 def test_constants_output(capsys):
@@ -318,7 +335,7 @@ def test_tokens_straddling_block_boundaries(tmp_path, monkeypatch, block):
 
 @pytest.mark.parametrize("kind", list(SKETCHES))
 def test_saved_sketch_equals_scalar_inserts(tmp_path, monkeypatch, capsys, kind):
-    # spans several blocks; b=4 makes the TailCut kinds clamp and replay
+    # spans several blocks; b=4 makes the TailCut kinds clamp and cut batches
     monkeypatch.setattr(ehll.cli, "BLOCK_BYTES", 4096)
     data = AWKWARD + b"".join(f"tok-{i % 3000}\n".encode() for i in range(6000))
     path, saved = tmp_path / "tok.txt", tmp_path / "s.bin"

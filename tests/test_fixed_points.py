@@ -81,7 +81,7 @@ def ehs1_blobs(kind: str, b: int) -> bytes:
     """Batch, scalar, bytes-token and merged sketch files over three stream sizes.
 
     Each integer stream opens with a few rank-17+ elements, so TailCut
-    clamps, chunk replay and truncating merges are all covered.
+    clamps, batch cuts and truncating merges are all covered.
     """
     cls = CLASSES[kind]
     out = []

@@ -155,10 +155,10 @@ def test_auto_resync_fires():
 # ---------------------------------------------------------------------------
 # block inserts
 
-def _block_stream(kind: str, b: int, n: int, seed: int) -> np.ndarray:
+def _block_stream(m: int, n: int, seed: int) -> np.ndarray:
     """Distinct elements plus duplicates, opening with ranks that clamp TailCut cells."""
     pool = stream_u64(1 << 16, 1000 + seed)
-    _, geo = split_hash_array(hash64_u64_array(pool, seed), 1 << b)
+    _, geo = split_hash_array(hash64_u64_array(pool, seed), m)
     body = stream_u64(n, seed)
     rng = np.random.default_rng(seed)
     dups = body[rng.integers(0, n, size=n // 4)]
@@ -171,10 +171,11 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
     # random blocks, starting from a non-empty sketch, against insert() one by one
     if resync:
         monkeypatch.setattr(ehll.martingale, "RESYNC_INTERVAL", resync)
-    for b, n, seed in ((4, 3000, 1), (6, 5000, 2), (10, 4000, 3)):
-        stream = _block_stream(kind, b, n, seed)
-        scalar = MartingaleCounter(SKETCHES[kind](b=b, seed=seed))
-        block = MartingaleCounter(SKETCHES[kind](b=b, seed=seed))
+    # at m = 1, 2 and 16 a TailCut base promotion lands inside almost every block
+    for m, n, seed in ((16, 3000, 1), (64, 5000, 2), (1024, 4000, 3), (1, 800, 4), (2, 1500, 5)):
+        stream = _block_stream(m, n, seed)
+        scalar = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+        block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
         head = 100  # inserted one by one into both
         for v in stream[:head].tolist():
             scalar.insert(v)
@@ -183,12 +184,12 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
             scalar.insert(v)
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.integers(head, len(stream), size=12))
-        bucket, geo = split_hash_array(hash64_u64_array(stream, seed), 1 << b)
+        bucket, geo = split_hash_array(hash64_u64_array(stream, seed), m)
         for lo, hi in zip([head, *cuts.tolist()], [*cuts.tolist(), len(stream)]):
             block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
         assert block.inner == scalar.inner
         assert block.updates_since_resync == scalar.updates_since_resync
-        if kind.endswith("-tc"):  # replayed: bit-identical
+        if kind.endswith("-tc"):  # exact term sums: bit-identical
             assert (block.estimate(), block.retro_variance()) == (
                 scalar.estimate(), scalar.retro_variance())
         else:
@@ -196,6 +197,29 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
             assert block.retro_variance() == pytest.approx(scalar.retro_variance(), rel=1e-12)
         assert block.inner.change_probability() == pytest.approx(
             scalar.inner.change_probability(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
+@pytest.mark.parametrize("m", [16, 1024])
+def test_tailcut_block_insert_steps_only_cut_elements(kind, m, monkeypatch):
+    # the cuts, found element by element: a rank above the ceiling, or a promotion
+    stream = _block_stream(m, 4000, 6)
+    bucket, geo = split_hash_array(hash64_u64_array(stream, 6), m)
+    ref = SKETCHES[kind](m=m, seed=6)
+    cuts = 0
+    for j, g in zip(bucket.tolist(), geo.tolist()):
+        base = ref.base
+        ref._insert_bg(j, g)
+        cuts += g > base + 15 or ref.base != base
+    assert cuts > 0
+    calls = []
+    step = SKETCHES[kind]._insert_bg
+    monkeypatch.setattr(SKETCHES[kind], "_insert_bg",
+                        lambda s, j, g: calls.append(j) or step(s, j, g))
+    block = MartingaleCounter(SKETCHES[kind](m=m, seed=6))
+    block.insert_bg_batch(bucket, geo)
+    assert len(calls) == cuts
+    assert block.inner == ref
 
 
 def test_block_insert_of_nothing_changes_nothing():

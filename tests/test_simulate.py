@@ -29,6 +29,9 @@ def test_config_validation():
         SimulationConfig(kinds=("pcsa",), match_memory=True)
     with pytest.raises(ValueError):
         SimulationConfig(kinds=("hll",), checkpoints=0)
+    for b in (3, 19, 40):  # outside the precisions a sketch accepts
+        with pytest.raises(ValueError, match=r"precision b must be in \[4, 18\]"):
+            SimulationConfig(kinds=("ehll",), b=b)
 
 
 def test_matched_memory_register_counts():
