@@ -164,6 +164,12 @@ def rho_array(y: np.ndarray, width: int) -> np.ndarray:
     return np.where(nonzero, trailing + 1, np.int64(width + 1))
 
 
+def top_bits_precision(m: int) -> int | None:
+    """``b`` if ``m = 2**b`` takes the top-bits layout (``4 <= b <= 18``), else None."""
+    b = m.bit_length() - 1
+    return b if m == 1 << b and 4 <= b <= 18 else None
+
+
 def split_hash(raw: int, m: int) -> tuple[int, int]:
     """Split a digest for an arbitrary register count ``m``.
 
@@ -171,8 +177,8 @@ def split_hash(raw: int, m: int) -> tuple[int, int]:
     bucket is ``(m * top32) >> 32`` and the rank comes from the low 32
     bits, so bucket and rank stay independent.
     """
-    b = m.bit_length() - 1
-    if m == 1 << b and 4 <= b <= 18:
+    b = top_bits_precision(m)
+    if b is not None:
         w = 64 - b
         return raw >> w, rho(raw & ((1 << w) - 1), w)
     return (m * (raw >> 32)) >> 32, rho(raw & 0xFFFFFFFF, 32)
@@ -181,8 +187,8 @@ def split_hash(raw: int, m: int) -> tuple[int, int]:
 def split_hash_array(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`split_hash`; returns int64 (buckets, ranks)."""
     raw = raw.astype(np.uint64, copy=False)
-    b = m.bit_length() - 1
-    if m == 1 << b and 4 <= b <= 18:
+    b = top_bits_precision(m)
+    if b is not None:
         w = 64 - b
         bucket = (raw >> _U(w)).astype(np.int64)
         geo = rho_array(raw & _U((1 << w) - 1), w)
@@ -195,10 +201,8 @@ def split_hash_array(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def geo_width(m: int) -> int:
     """Width of the rank domain for register count ``m`` (max rank is width+1)."""
-    b = m.bit_length() - 1
-    if m == 1 << b and 4 <= b <= 18:
-        return 64 - b
-    return 32
+    b = top_bits_precision(m)
+    return 32 if b is None else 64 - b
 
 
 def stream_u64(n: int, stream_seed: int) -> np.ndarray:

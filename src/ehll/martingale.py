@@ -20,9 +20,11 @@ every ``2**20`` updates (and on demand via :meth:`resync`).
 Blocks of elements go in at once (:meth:`MartingaleCounter.insert_bg_batch`)
 along the runs the sketch cuts a block into (one run for the order-free
 sketches): the state changes of a run are located vectorized
-(:func:`change_deltas`) and their ``q`` come from one cumulative sum in
-arrival order; the element at a cut goes in alone, as :meth:`insert`
-takes it.
+(:func:`change_deltas`) and their ``q`` come from a cumulative sum of the
+term deltas; the element at a cut goes in alone, as :meth:`insert` takes
+it.  E and V then advance over every change of the block with one
+cumulative sum in arrival order, and the block returns them after each
+change, so a trace of the estimator over a stream is one block insert.
 
 A counter is strictly single-threaded (sequential semantics are the
 whole point) but can be handed off between threads.
@@ -34,14 +36,12 @@ import math
 
 import numpy as np
 
-from .sketches import cell_terms
-
 RESYNC_INTERVAL = 1 << 20
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
 
 
 def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
-                  x0: np.ndarray | None, terms=cell_terms) -> tuple[np.ndarray, np.ndarray]:
+                  x0: np.ndarray | None, terms) -> tuple[np.ndarray, np.ndarray]:
     """Arrival index and cell-term change of every state change, in arrival order.
 
     The (bucket, rank) pairs arrive in order on the cells ``(k0, x0)``
@@ -116,15 +116,6 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
     return ev_arrival[by_arrival], (term_after - term_before)[by_arrival]
 
 
-def pre_update_q(m: int, term_sum: float, delta: np.ndarray) -> np.ndarray:
-    """Change probability before each state change, from the running term sum."""
-    sums = term_sum + np.cumsum(delta)
-    pre = np.empty(len(delta))
-    pre[:1] = term_sum
-    pre[1:] = sums[:-1]
-    return pre / m
-
-
 class MartingaleCounter:
     """Running unbiased estimator and retrospective variance over a sketch."""
 
@@ -156,16 +147,22 @@ class MartingaleCounter:
         """Insert the byte tokens ``buf[starts[i]:ends[i]]`` in order, hashed at once."""
         self.insert_bg_batch(*self.inner.split_tokens(buf, starts, ends))
 
-    def insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+    def insert_bg_batch(self, bucket: np.ndarray,
+                        geo: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Insert a block of (bucket, rank) pairs in arrival order.
+
+        Returns ``(arrivals, e, v)``: the index in the block of each
+        element that changed the sketch, and E and V just after it.
 
         E, V and the inner sketch end as after :meth:`insert` of each
         element in turn.  The block goes along the sketch's runs: a run's
         ``q`` come from a plain running sum where the scalar path keeps a
         compensated one, and the element at a cut takes the scalar step.
-        A TailCut term sum is always exact, since every term is a multiple
-        of ``2^-(base+15)`` and the sum is below ``3 m 2^-base``, so its
-        block inserts are bit-identical.  An order-free sketch's are equal
+        E and V add the increments of all changes in arrival order, as
+        :meth:`insert` does.  A TailCut term sum is always exact, since
+        every term is a multiple of ``2^-(base+15)`` and the sum is below
+        ``3 m 2^-base``, so its block inserts are bit-identical however
+        the stream is split into blocks.  An order-free sketch's are equal
         up to rounding, and exactly equal while its term sum fits a double
         (ranks up to about 40 at m=2^12).
 
@@ -174,25 +171,29 @@ class MartingaleCounter:
         TailCut step.
         """
         inner, n = self.inner, len(bucket)
+        arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for lo, hi in inner._runs(bucket, geo):
             bu, ge, cells = bucket[lo:hi], geo[lo:hi], inner._cells()
-            _, delta = change_deltas(bu, ge, *cells, inner._terms)
-            if len(delta):
-                q = pre_update_q(inner.m, inner._sum, delta)
-                # accumulated from the running values, in order, as insert() adds them
-                e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()
-                v = np.concatenate(([self.retro_var], (1.0 - q) / (q * q))).cumsum()
-                self.estimate_value, self.retro_var = float(e[-1]), float(v[-1])
+            at, delta = change_deltas(bu, ge, *cells, inner._terms)
+            # q before each change: the term sum plus the deltas of the changes before it
+            arrivals.append(at + lo)
+            qs.append((inner._sum + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
             inner._union_batch(bu, ge, *cells)
             if hi < n:  # the cut element: insert()'s scalar step
                 q = inner.change_probability()
                 if inner._insert_bg(int(bucket[hi]), int(geo[hi])):
-                    self.estimate_value += 1.0 / q
-                    self.retro_var += (1.0 - q) / (q * q)
+                    arrivals.append([hi])
+                    qs.append([q])
+        q = np.concatenate(qs)
+        # accumulated from the running values, in order, as insert() adds them
+        e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()
+        v = np.concatenate(([self.retro_var], (1.0 - q) / (q * q))).cumsum()
+        self.estimate_value, self.retro_var = float(e[-1]), float(v[-1])
         u = self.updates_since_resync + n
         if u >= RESYNC_INTERVAL:
             self.resync()
         self.updates_since_resync = u % RESYNC_INTERVAL
+        return np.concatenate(arrivals), e[1:], v[1:]
 
     def estimate(self) -> float:
         return self.estimate_value

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hashing import top_bits_precision
 from .sketches import EhllSketch, HllSketch, PcsaSketch
 from .tailcut import EhllTcSketch, HllTcSketch
 
@@ -41,8 +42,8 @@ class SketchFormatError(ValueError):
 
 
 def _precision_of(sketch) -> int:
-    b = sketch.m.bit_length() - 1
-    if sketch.m != 1 << b or not 4 <= b <= 18:
+    b = top_bits_precision(sketch.m)
+    if b is None:
         raise ValueError(
             f"only power-of-two sketches serialize (m={sketch.m}); "
             "matched-memory register counts are in-memory only")

@@ -12,13 +12,13 @@ payload bits within one register of rounding: two-field kinds keep
 ``ceil((w + 1) / w * m0)``, its two-field twin's bits (``ceil(7/6 * m0)``
 for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
-Trials are vectorized: each trial feeds the production sketch (or its
-martingale counter) one stream segment per checkpoint through the batch
-path, whose cost is linear in the segment plus the register count.  An
-order-free martingale reduces to a scan over state-change events (a few
-thousand per trial), whose change probabilities come from one cumulative
-sum in arrival order; it is tested to float tolerance against the
-element-at-a-time counter.
+Trials are vectorized: each trial feeds the production sketch one stream
+segment per checkpoint through the batch path, whose cost is linear in
+the segment plus the register count.  A martingale trial feeds its whole
+stream to a :class:`~ehll.martingale.MartingaleCounter` as one block,
+which returns E and V after each state change (a few thousand per
+trial), and reads the checkpoints off that trace; the counter's block
+path is tested against the element-at-a-time counter.
 
 Per-trial RNG streams are derived from ``(seed, trial index)`` alone and
 results are keyed by trial index, so any worker count yields the same
@@ -39,10 +39,9 @@ from .hashing import (
     split_hash_array,
     stream_u64,
 )
-from .martingale import MartingaleCounter, change_deltas, pre_update_q
+from .martingale import MartingaleCounter
 from .serialization import SKETCHES
 from .sketches import bias_constant
-from .tailcut import _TailCutBase
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -66,6 +65,8 @@ class SimulationConfig:
             raise ValueError("checkpoints must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         for kind in self.kinds:
             if kind not in SKETCHES:
                 raise ValueError(f"unknown sketch kind {kind!r}")
@@ -110,52 +111,36 @@ def trial_stream_seed(seed: int, trial: int) -> int:
 
 def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
                      positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, V) of the martingale estimator at each checkpoint, fully vectorized.
+    """(E, V) of the martingale estimator at each checkpoint.
 
-    State changes are sparse, so the trial reduces to locating them from
-    the empty sketch (:func:`ehll.martingale.change_deltas`) and prefix
-    summing the change-probability deltas in arrival order.
+    The whole stream goes through one
+    :meth:`~ehll.martingale.MartingaleCounter.insert_bg_batch`, whose
+    trace of E and V after each state change is read at the checkpoints.
     """
-    k0 = np.zeros(m, dtype=np.int64)
-    x0 = np.ones(m, dtype=np.int64) if SKETCHES[kind].neighbor_bit else None
-    arrivals, delta = change_deltas(bucket, geo, k0, x0)
-    if len(arrivals) == 0:
-        zero = np.zeros(len(positions))
-        return zero, zero.copy()
-    q = pre_update_q(m, float(m), delta)
-    cum_e = np.cumsum(1.0 / q)
-    cum_v = np.cumsum((1.0 - q) / (q * q))
-
-    idx = np.searchsorted(arrivals, positions)
-    e_at = np.where(idx > 0, cum_e[np.maximum(idx - 1, 0)], 0.0)
-    v_at = np.where(idx > 0, cum_v[np.maximum(idx - 1, 0)], 0.0)
-    return e_at, v_at
+    counter = MartingaleCounter(SKETCHES[kind](m=m))
+    arrivals, e, v = counter.insert_bg_batch(bucket, geo)
+    idx = np.searchsorted(arrivals, positions)  # changes among the first ``pos`` pairs
+    return np.concatenate(([0.0], e))[idx], np.concatenate(([0.0], v))[idx]
 
 
 def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
               trial: int, martingale: bool, asymptotic: bool) -> np.ndarray:
     """Checkpoint estimates for one seeded trial of one sketch configuration.
 
-    The sketch (or its martingale counter) takes the stream one segment
-    per checkpoint; an order-free martingale reduces to
-    :func:`martingale_trace`.
+    The sketch takes the stream one segment per checkpoint; a martingale
+    trial is :func:`martingale_trace`.
     """
     elements = stream_u64(n, trial_stream_seed(seed, trial))
     hashed = hash64_u64_array(elements, seed)
     bucket, geo = split_hash_array(hashed, m)
-    if martingale and not issubclass(SKETCHES[kind], _TailCutBase):
+    if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
     sketch = SKETCHES[kind](m=m, seed=seed)
-    counter = MartingaleCounter(sketch) if martingale else None
     out = np.empty(len(positions))
     prev = 0
     for i, pos in enumerate(positions):
-        if counter:
-            counter.insert_bg_batch(bucket[prev:pos], geo[prev:pos])
-            out[i] = counter.estimate()
-        else:
-            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
-            out[i] = sketch.estimate(asymptotic=asymptotic).value
+        sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+        out[i] = sketch.estimate(asymptotic=asymptotic).value
         prev = pos
     return out
 

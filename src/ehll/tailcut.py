@@ -98,14 +98,7 @@ class _TailCutBase(_RankSketch):
 
     def _promote_base(self) -> None:
         """Shift the common minimum offset into the base (no effective change)."""
-        offs = self.offsets.values()
-        d = int(offs.min())
-        if d > 0:
-            self.base += d
-            offs -= d
-            self.offsets.set_values(offs)
-        self._zero_offsets = int(np.count_nonzero(offs == 0))
-        self.resync_term_sum()
+        self._load(*self._cells())  # the canonical encoding has base = min
 
     def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
         # a run stops short of the last zero offset's lift: no promotion here
@@ -120,7 +113,7 @@ class _TailCutBase(_RankSketch):
         return base, np.minimum(raw, OFFSET_MAX), truncated
 
     def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Re-clamp merged cells canonically: best effort, approximate once saturated."""
+        """Re-encode cells canonically: exact for a promotion, best effort for a merge."""
         self.base, offs, truncated = self._encode_effective(k)
         self._zero_offsets = int(np.count_nonzero(offs == 0))
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))

@@ -221,6 +221,14 @@ def test_simulate_precision_out_of_range_exits_2(capsys, b, extra):
     assert err == f"error: precision b must be in [4, 18], got {b}\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_simulate_workers_below_one_exits_2(capsys, workers):
+    code, out, err = run(capsys, "simulate", "--sketch", "ehll", "--n", "10",
+                         "--trials", "2", "--workers", workers)
+    assert code == 2 and out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_constants_output(capsys):
     code, out, _ = run(capsys, "constants", "--m", "1024")
     assert code == 0

@@ -9,6 +9,7 @@ import ehll.martingale
 from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
 from ehll.martingale import MartingaleCounter
 from ehll.serialization import SKETCHES
+from ehll.simulate import SimulationConfig
 from ehll.sketches import EhllSketch, HllSketch, PcsaSketch
 from ehll.tailcut import EhllTcSketch, HllTcSketch
 
@@ -197,6 +198,55 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
             assert block.retro_variance() == pytest.approx(scalar.retro_variance(), rel=1e-12)
         assert block.inner.change_probability() == pytest.approx(
             scalar.inner.change_probability(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
+def test_block_insert_returns_the_scalar_trace(kind):
+    # (arrival, E, V) after each insert() that changes the sketch, over three blocks
+    for m, n, seed in ((16, 3000, 1), (1024, 4000, 3), (1, 800, 4)):
+        stream = _block_stream(m, n, seed)
+        scalar = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+        expected = []
+        for i, v in enumerate(stream.tolist()):
+            before = scalar.estimate()
+            scalar.insert(v)
+            if scalar.estimate() != before:  # each change adds 1/q >= 1
+                expected.append((i, scalar.estimate(), scalar.retro_variance()))
+        bucket, geo = split_hash_array(hash64_u64_array(stream, seed), m)
+        block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+        got = []
+        bounds = [0, 100, len(stream) // 2, len(stream)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            arrivals, e, v = block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
+            got += zip((arrivals + lo).tolist(), e.tolist(), v.tolist())
+        assert [g[0] for g in got] == [x[0] for x in expected]
+        if kind.endswith("-tc"):  # exact term sums: bit-identical
+            assert got == expected
+        else:
+            for (_, e, v), (_, e_ref, v_ref) in zip(got, expected):
+                assert e == pytest.approx(e_ref, rel=1e-12)
+                assert v == pytest.approx(v_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
+def test_tailcut_whole_stream_equals_checkpoint_segments(kind):
+    # one block, as simulate's martingale trials feed it, against one block per checkpoint
+    for m, n, seed in ((16, 3000, 1), (1024, 20_000, 3)):
+        stream = _block_stream(m, n, seed)
+        bucket, geo = split_hash_array(hash64_u64_array(stream, seed), m)
+        positions = SimulationConfig(n=len(stream), trials=2).checkpoint_positions()
+        whole = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+        arrivals, e, v = whole.insert_bg_batch(bucket, geo)
+        segments = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+        prev = 0
+        for pos in positions.tolist():
+            segments.insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            prev = pos
+            at = np.searchsorted(arrivals, pos) - 1
+            assert (e[at], v[at]) == (segments.estimate(), segments.retro_variance())
+        assert (whole.estimate(), whole.retro_variance()) == (
+            segments.estimate(), segments.retro_variance())
+        assert whole.inner == segments.inner
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])

@@ -29,6 +29,9 @@ def test_config_validation():
         SimulationConfig(kinds=("pcsa",), match_memory=True)
     with pytest.raises(ValueError):
         SimulationConfig(kinds=("hll",), checkpoints=0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SimulationConfig(kinds=("hll",), workers=workers)
     for b in (3, 19, 40):  # outside the precisions a sketch accepts
         with pytest.raises(ValueError, match=r"precision b must be in \[4, 18\]"):
             SimulationConfig(kinds=("ehll",), b=b)
@@ -78,7 +81,7 @@ def test_run_trial_matches_reference_sketch(kind):
     assert np.allclose(got, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["hll", "ehll"])
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
 def test_martingale_trace_matches_counter(kind):
     from ehll.serialization import SKETCHES
 
@@ -102,8 +105,12 @@ def test_martingale_trace_matches_counter(kind):
             prev = pos
             expected_e.append(counter.estimate())
             expected_v.append(counter.retro_variance())
-        assert np.allclose(e_vec, expected_e, rtol=1e-9)
-        assert np.allclose(v_vec, expected_v, rtol=1e-9)
+        if kind.endswith("-tc"):  # exact term sums: bit-identical
+            assert e_vec.tolist() == expected_e
+            assert v_vec.tolist() == expected_v
+        else:
+            assert np.allclose(e_vec, expected_e, rtol=1e-9)
+            assert np.allclose(v_vec, expected_v, rtol=1e-9)
 
 
 def test_retrospective_variance_tracks_true_variance():
