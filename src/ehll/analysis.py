@@ -132,6 +132,8 @@ _cache: dict[tuple[str, int], tuple[float, float]] = {}
 
 def _constants(kernel_name: str, m: int) -> tuple[float, float]:
     """Cached ``(bias correction, variance constant)`` for one kernel and m."""
+    if m < 16:
+        raise ValueError("bias constants are defined for m >= 16")
     key = (kernel_name, m)
     if key not in _cache:
         kernel = ehll_kernel if kernel_name == "ehll" else hll_kernel
@@ -142,29 +144,21 @@ def _constants(kernel_name: str, m: int) -> tuple[float, float]:
 
 def gamma_m(m: int) -> float:
     """Bias correction for the two-field estimator at register count ``m``."""
-    if m < 16:
-        raise ValueError("bias constants are defined for m >= 16")
     return _constants("ehll", m)[0]
 
 
 def beta_m(m: int) -> float:
     """Relative-variance constant of the two-field estimator (RMSE ~ sqrt(beta/m))."""
-    if m < 16:
-        raise ValueError("bias constants are defined for m >= 16")
     return _constants("ehll", m)[1]
 
 
 def alpha_m(m: int) -> float:
     """Bias correction for the max-rank estimator, same quadrature footing."""
-    if m < 16:
-        raise ValueError("bias constants are defined for m >= 16")
     return _constants("hll", m)[0]
 
 
 def beta_hll_m(m: int) -> float:
     """Relative-variance constant of the max-rank estimator (~1.08 for large m)."""
-    if m < 16:
-        raise ValueError("bias constants are defined for m >= 16")
     return _constants("hll", m)[1]
 
 

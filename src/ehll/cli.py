@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, serialization
+from .hashing import top_bits_precision
 from .martingale import MartingaleCounter
 from .simulate import SimulationConfig, paper_scale, rows_to_csv, rows_to_svg, simulate
 
@@ -83,13 +84,19 @@ def _token_blocks(path: str):
             fh.close()
 
 
+def _check_change_probability(kind: str | None) -> None:
+    """Refuse a sketch kind that keeps no change probability."""
+    if kind == "pcsa":
+        raise ValueError("the bitmap sketch has no change probability")
+
+
 def _resume(args):
     """The sketch saved at ``--load``, refusing flags that contradict it."""
     if args.martingale:
         raise ValueError("--martingale cannot resume from --load: sketch files "
                          "do not keep the running estimate")
     sketch = serialization.load(args.load)
-    stored = {"sketch": sketch.kind, "b": sketch.m.bit_length() - 1, "seed": sketch.seed}
+    stored = {"sketch": sketch.kind, "b": top_bits_precision(sketch.m), "seed": sketch.seed}
     for name, value in stored.items():
         given = getattr(args, name)
         if given is not None and given != value:
@@ -98,8 +105,8 @@ def _resume(args):
 
 
 def cmd_estimate(args) -> int:
-    if args.martingale and args.sketch == "pcsa":
-        raise ValueError("the bitmap sketch has no change probability")
+    if args.martingale:
+        _check_change_probability(args.sketch)
     if args.load:
         sketch = _resume(args)
     else:
@@ -203,6 +210,7 @@ def cmd_oracle_expectation(args) -> int:
 
 def cmd_oracle_change_probability(args) -> int:
     sketch = serialization.load(args.load)
+    _check_change_probability(sketch.kind)
     enum = oracle.enumerate_change_probability(sketch, args.depth)
     incremental = sketch.change_probability()
     print(f"enumerated {enum:.12g}")

@@ -164,10 +164,22 @@ def rho_array(y: np.ndarray, width: int) -> np.ndarray:
     return np.where(nonzero, trailing + 1, np.int64(width + 1))
 
 
+#: Precisions ``b`` whose ``m = 2**b`` registers take the top-bits layout.
+PRECISIONS = range(4, 19)
+PRECISION_SPAN = f"[{PRECISIONS[0]}, {PRECISIONS[-1]}]"
+
+
+def check_precision(b: int) -> int:
+    """``b`` if it is one of :data:`PRECISIONS`, else ValueError."""
+    if b not in PRECISIONS:
+        raise ValueError(f"precision b must be in {PRECISION_SPAN}, got {b}")
+    return b
+
+
 def top_bits_precision(m: int) -> int | None:
-    """``b`` if ``m = 2**b`` takes the top-bits layout (``4 <= b <= 18``), else None."""
+    """``b`` if ``m = 2**b`` with ``b`` in :data:`PRECISIONS` (the top-bits layout), else None."""
     b = m.bit_length() - 1
-    return b if m == 1 << b and 4 <= b <= 18 else None
+    return b if m == 1 << b and b in PRECISIONS else None
 
 
 def split_hash(raw: int, m: int) -> tuple[int, int]:

@@ -46,74 +46,54 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
 
     The (bucket, rank) pairs arrive in order on the cells ``(k0, x0)``
     (``x0`` is None for max-rank cells).  State changes are sparse, so
-    this locates them, reconstructs each cell's state just before and
-    after, and differences the cell terms ``terms(k, x)`` (a sketch's own
-    ``_terms``, say); order-free cells make that exact.
+    this sorts the pairs once by (bucket, arrival), reconstructs each
+    cell's state just before and after each change, and differences the
+    cell terms ``terms(k, x)`` (a sketch's own ``_terms``, say);
+    order-free cells make that exact.
+
+    A cell's max grows at a rank above every rank before it, and its bit
+    moves only there or at a rank one below the max.  So between those
+    pairs the cell holds one bit: ``x0`` before the first, whether a grow
+    was by exactly one, and 1 after a rank one below (it filled a 0 or
+    found a 1).  That rank is a change when the bit it finds is 0.
     """
     n = len(bucket)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    # unstable sorts of unique keys (bucket, then maybe rank, above an arrival
-    # field of ``a`` bits) give the permutations of stable sorts
+    # an unstable sort of unique keys (bucket above an arrival field of ``a``
+    # bits) gives the permutation of a stable sort by bucket
     a = (n - 1).bit_length()
-    if (int(bucket.max()) + 1) * _RANK_STRIDE << a > 1 << 63:
+    if (int(bucket.max()) + 1) << a > 1 << 63:
         raise ValueError(f"{n} arrivals over {int(bucket.max()) + 1} buckets overflow a sort key")
-    low, pos = (1 << a) - 1, np.arange(n, dtype=np.int64)
-    order = np.sort((bucket << a) | pos) & low
-    bs, gs, arrival = bucket[order], geo[order], order
+    arrival = np.sort((bucket << a) | np.arange(n, dtype=np.int64)) & ((1 << a) - 1)
+    bs, gs = bucket[arrival], geo[arrival]
 
     # exclusive per-bucket running max, from the cell's rank, via offset-encoded cummax
-    enc = gs + bs * _RANK_STRIDE
     shifted = np.empty(n, dtype=np.int64)
-    shifted[1:] = enc[:-1]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = bs[1:] != bs[:-1]
-    starts = bs[seg_start]
-    shifted[seg_start] = starts * _RANK_STRIDE + k0[starts]
-    prior_max = np.maximum.accumulate(shifted) - bs * _RANK_STRIDE
+    shifted[1:] = gs[:-1] + bs[:-1] * _RANK_STRIDE
+    first = np.diff(bs, prepend=-1) != 0
+    shifted[first] = bs[first] * _RANK_STRIDE + k0[bs[first]]
+    k_before = np.maximum.accumulate(shifted) - bs * _RANK_STRIDE
+    grows = gs > k_before
 
-    grows = gs > prior_max
-    if x0 is not None:
-        # neighbor-bit event: rank == prior_max - 1, never seen before in bucket
-        occ = np.sort((enc << a) | pos) & low  # by bucket, rank, arrival
-        first_in_occ = np.empty(n, dtype=bool)
-        first_in_occ[0] = True
-        first_in_occ[1:] = (bs[occ][1:] != bs[occ][:-1]) | (gs[occ][1:] != gs[occ][:-1])
-        first_seen = np.empty(n, dtype=bool)
-        first_seen[occ] = first_in_occ
-        # the starting cell proves its own rank seen, and the one below if its bit is set
-        kb = k0[bs]
-        seen_before = (gs == kb) | ((gs == kb - 1) & (x0[bs] == 1))
-        fills = (~grows) & (gs == prior_max - 1) & first_seen & ~seen_before
-        events = grows | fills
+    if x0 is None:
+        events = np.flatnonzero(grows)
+        x_before = x_after = None
     else:
-        events = grows
-
-    ev_bucket = bs[events]
-    ev_grow = grows[events]
-    ev_rank = gs[events]
-    ev_prior = prior_max[events]
-    k_after = np.where(ev_grow, ev_rank, ev_prior)
-    k_before = ev_prior
-
-    if x0 is not None:
-        x_after = np.where(ev_grow, (ev_rank == ev_prior + 1).astype(np.int64), 1)
-        x_before = np.empty(len(k_after), dtype=np.int64)
+        moves = np.flatnonzero(grows | (gs == k_before - 1))
+        bu, grow = bs[moves], grows[moves]
+        x_after = np.where(grow, gs[moves] == k_before[moves] + 1, 1)
+        x_before = np.empty_like(x_after)
         x_before[1:] = x_after[:-1]
-        ev_start = np.empty(len(k_after), dtype=bool)
-        if len(k_after):
-            ev_start[0] = True
-            ev_start[1:] = ev_bucket[1:] != ev_bucket[:-1]
-            x_before[ev_start] = x0[ev_bucket[ev_start]]
-    else:
-        x_after = x_before = None
-    term_after = terms(k_after, x_after)
-    term_before = terms(k_before, x_before)
-
+        new = np.diff(bu, prepend=-1) != 0  # a bucket's first move finds x0
+        x_before[new] = x0[bu[new]]
+        changed = grow | (x_before == 0)
+        events, x_before, x_after = moves[changed], x_before[changed], x_after[changed]
+    k_prior = k_before[events]
+    delta = terms(np.maximum(gs[events], k_prior), x_after) - terms(k_prior, x_before)
     ev_arrival = arrival[events]
     by_arrival = np.argsort(ev_arrival)
-    return ev_arrival[by_arrival], (term_after - term_before)[by_arrival]
+    return ev_arrival[by_arrival], delta[by_arrival]
 
 
 class MartingaleCounter:

@@ -226,6 +226,8 @@ def enumerate_change_probability(sketch, K: int = 20) -> float:
     enumerated, so the result undershoots the exact value by at most
     ``2^-K`` (every deep rank changes any non-saturated state).
     """
+    if K < 1:
+        raise ValueError(f"enumeration depth must be >= 1, got {K}")
     total = Fraction(0)
     m = sketch.m
     for j in range(m):

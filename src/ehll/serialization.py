@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hashing import top_bits_precision
+from .hashing import PRECISION_SPAN, PRECISIONS, top_bits_precision
 from .sketches import EhllSketch, HllSketch, PcsaSketch
 from .tailcut import EhllTcSketch, HllTcSketch
 
@@ -86,8 +86,8 @@ def deserialize(data: bytes):
     tag, b = data[5], data[6]
     if tag not in TAG_KINDS:
         raise SketchFormatError(f"unknown sketch kind tag {tag}")
-    if not 4 <= b <= 18:
-        raise SketchFormatError(f"precision {b} out of range [4, 18]")
+    if b not in PRECISIONS:
+        raise SketchFormatError(f"precision {b} out of range {PRECISION_SPAN}")
     seed = int.from_bytes(data[7:15], "little")
     sketch = SKETCHES[TAG_KINDS[tag]](b=b, seed=seed)
     pos = 15 + len(sketch._header)

@@ -34,6 +34,7 @@ import numpy as np
 from .hashing import (
     MASK64,
     _SEED_TWEAK,
+    check_precision,
     hash64_u64_array,
     mix64,
     split_hash_array,
@@ -57,8 +58,7 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not 4 <= self.b <= 18:
-            raise ValueError(f"precision b must be in [4, 18], got {self.b}")
+        check_precision(self.b)
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
         if self.checkpoints < 1:
@@ -70,6 +70,8 @@ class SimulationConfig:
         for kind in self.kinds:
             if kind not in SKETCHES:
                 raise ValueError(f"unknown sketch kind {kind!r}")
+            if self.kinds.count(kind) > 1:
+                raise ValueError(f"sketch kind {kind!r} is given more than once")
             if self.match_memory and kind == "pcsa":
                 raise ValueError(f"matched-memory mode does not size {kind!r}")
             if self.martingale and kind == "pcsa":

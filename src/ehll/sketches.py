@@ -40,6 +40,7 @@ import numpy as np
 
 from . import analysis
 from .hashing import (
+    check_precision,
     geo_width,
     hash64,
     hash64_tokens,
@@ -76,9 +77,7 @@ def _resolve_size(b: int | None, m: int | None) -> int:
     if (b is None) == (m is None):
         raise ValueError("specify exactly one of b (power-of-two) or m")
     if b is not None:
-        if not 4 <= b <= 18:
-            raise ValueError(f"precision b must be in [4, 18], got {b}")
-        return 1 << b
+        return 1 << check_precision(b)
     if m < 1:
         raise ValueError("register count must be >= 1")
     return m

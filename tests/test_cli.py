@@ -229,6 +229,13 @@ def test_simulate_workers_below_one_exits_2(capsys, workers):
     assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
+def test_simulate_repeated_sketch_exits_2(capsys):
+    code, out, err = run(capsys, "simulate", "--sketch", "ehll", "--sketch", "ehll",
+                         "--b", "4", "--n", "10", "--trials", "2", "--checkpoints", "1")
+    assert code == 2 and out == ""
+    assert err == "error: sketch kind 'ehll' is given more than once\n"
+
+
 def test_constants_output(capsys):
     code, out, _ = run(capsys, "constants", "--m", "1024")
     assert code == 0
@@ -276,6 +283,24 @@ def test_oracle_change_probability_command(tmp_path, capsys):
     lines = dict(line.split() for line in out.splitlines())
     diff = float(lines["incremental"]) - float(lines["enumerated"])
     assert 0 <= diff <= 2.0**-22 + 1e-12
+
+
+@pytest.mark.parametrize("depth", ["0", "-5"])
+def test_oracle_change_probability_depth_below_one_exits_2(tmp_path, capsys, depth):
+    f = tmp_path / "s.bin"
+    f.write_bytes(serialize(SKETCHES["ehll"](b=4)))
+    code, out, err = run(capsys, "oracle", "change-probability", "--load", str(f),
+                         "--depth", depth)
+    assert code == 2 and out == ""
+    assert err == f"error: enumeration depth must be >= 1, got {depth}\n"
+
+
+def test_oracle_change_probability_of_pcsa_exits_2(tmp_path, capsys):
+    f = tmp_path / "s.bin"
+    f.write_bytes(serialize(SKETCHES["pcsa"](b=4)))
+    code, out, err = run(capsys, "oracle", "change-probability", "--load", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: the bitmap sketch has no change probability\n"
 
 
 def test_missing_input_file_exits_1(capsys):

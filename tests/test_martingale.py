@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehll.martingale
 from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
-from ehll.martingale import MartingaleCounter
+from ehll.martingale import MartingaleCounter, change_deltas
+from ehll.oracle import derive_cells
 from ehll.serialization import SKETCHES
 from ehll.simulate import SimulationConfig
-from ehll.sketches import EhllSketch, HllSketch, PcsaSketch
+from ehll.sketches import EhllSketch, HllSketch, PcsaSketch, cell_terms
 from ehll.tailcut import EhllTcSketch, HllTcSketch
 
 
@@ -151,6 +154,41 @@ def test_auto_resync_fires():
     c.updates_since_resync = (1 << 20) - 1
     c.insert(b"tick")
     assert c.updates_since_resync == 0
+
+
+# ---------------------------------------------------------------------------
+# the change scan
+
+@pytest.mark.parametrize("bits", [True, False])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_change_deltas_equals_a_shadow_replay(bits, data):
+    # start cells (k0, x0) an insert sequence reaches, and ranks near k0, repeated
+    m = data.draw(st.sampled_from([1, 2, 3, 16]))
+    k0 = data.draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+    x0 = [data.draw(st.integers(0, 1)) if k >= 2 else 1 for k in k0]
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-2, 3)),
+                               max_size=60))
+    bucket = np.array([j for j, _ in pairs], dtype=np.int64)
+    geo = np.array([max(1, k0[j] + d) for j, d in pairs], dtype=np.int64)
+
+    shadow = [({k, k - 1} if x and k >= 2 else {k}) if k else set()
+              for k, x in zip(k0, x0)]
+    want_at, want_delta = [], []
+    for i, (j, r) in enumerate(zip(bucket.tolist(), geo.tolist())):
+        (k_before,), (cell_before,) = derive_cells([shadow[j]])
+        shadow[j].add(r)
+        (k_after,), (cell_after,) = derive_cells([shadow[j]])
+        before, after = (cell_before, cell_after) if bits else ((k_before,), (k_after,))
+        if after != before:
+            want_at.append(i)
+            want_delta.append(float(cell_terms(*map(np.array, after))
+                                    - cell_terms(*map(np.array, before))))
+
+    at, delta = change_deltas(bucket, geo, np.array(k0, dtype=np.int64),
+                              np.array(x0, dtype=np.int64) if bits else None, cell_terms)
+    assert at.tolist() == want_at
+    assert delta.tolist() == want_delta
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,12 @@ def test_enumerate_fresh_sketch():
     assert enumerate_change_probability(s, K) == pytest.approx(1.0 - 0.5**K)
 
 
+def test_enumerate_rejects_depth_below_one():
+    for K in (0, -5):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            enumerate_change_probability(EhllSketch(m=2), K)
+
+
 def test_enumerate_single_cell_example():
     s = EhllSketch(m=1)
     s.ranks.set(0, 3)

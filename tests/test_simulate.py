@@ -29,6 +29,8 @@ def test_config_validation():
         SimulationConfig(kinds=("pcsa",), match_memory=True)
     with pytest.raises(ValueError):
         SimulationConfig(kinds=("hll",), checkpoints=0)
+    with pytest.raises(ValueError, match="given more than once"):
+        SimulationConfig(kinds=("ehll", "hll", "ehll"))
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             SimulationConfig(kinds=("hll",), workers=workers)
