@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -160,16 +161,23 @@ def cmd_simulate(args) -> int:
         config = paper_scale(config)
         print("warning: paper-scale campaign (25,000 x 10^6) runs for hours",
               file=sys.stderr)
+    t0 = time.perf_counter()
     rows = simulate(config)
+    wall = time.perf_counter() - t0
     csv_text = rows_to_csv(rows)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
+        sys.stdout.flush()  # the CSV, then the timing line, on a shared terminal
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(rows_to_svg(rows))
+    trials = config.trials * len(config.kinds)
+    print(f"simulate: kinds={','.join(sorted({r.sketch for r in rows}))} trials={trials} "
+          f"workers={config.workers} wall_s={wall:.3f} trials_per_s={trials / wall:.1f}",
+          file=sys.stderr)
     return 0
 
 

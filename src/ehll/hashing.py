@@ -19,6 +19,14 @@ Two addressing modes exist:
   range reduction and the rank from the low 32 bits, keeping the two
   independent.  This mode exists for matched-memory experiments such as
   ``m = 1195`` and supports cardinalities up to roughly ``2**30``.
+
+The array pipeline that campaign trials and ``insert_batch`` run
+(:func:`stream_u64`, :func:`hash64_u64_array`, :func:`split_hash_array`)
+works in place: each stage allocates only its own outputs and walks
+them in blocks of :data:`_BLOCK` words, so the temporaries of
+:func:`_mix_inplace` and :func:`rho_array` stay small, and
+:func:`rho_array` reads the low bits of a word without a masked copy.
+Inputs are never modified.
 """
 
 from __future__ import annotations
@@ -41,20 +49,26 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+#: Elements per block of the in-place array kernels (64 KiB of uint64).  A
+#: temporary of this size is reused from the allocator's free lists and
+#: stays in cache; one as large as the whole array is fresh pages each time.
+_BLOCK = 1 << 13
+
+
+def _blocks(n: int):
+    """Slices of ``range(n)`` of at most :data:`_BLOCK` elements."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
+
+
 def _mix_inplace(x: np.ndarray) -> None:
     """:func:`mix64` applied in place to a uint64 array (wrapping arithmetic)."""
-    x ^= x >> _U(30)
-    x *= _U(_MIX1)
-    x ^= x >> _U(27)
-    x *= _U(_MIX2)
-    x ^= x >> _U(31)
-
-
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` on a uint64 array (wrapping arithmetic)."""
-    x = x.astype(np.uint64, copy=True)
-    _mix_inplace(x)
-    return x
+    for blk in _blocks(len(x)):
+        v = x[blk]
+        v ^= v >> _U(30)
+        v *= _U(_MIX1)
+        v ^= v >> _U(27)
+        v *= _U(_MIX2)
+        v ^= v >> _U(31)
 
 
 def _canonical_bytes(element) -> bytes:
@@ -95,10 +109,12 @@ def hash64_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
     Bit-identical to ``hash64(int(v).to_bytes(8, 'little'), seed)`` for
     every entry, so batch-built sketches match element-at-a-time ones.
     """
-    state0 = mix64((seed ^ _SEED_TWEAK) & MASK64)
-    state = mix64_array(values.astype(np.uint64) ^ _U(state0))
+    state = values.astype(np.uint64)  # the one copy; every step below is in place
+    state ^= _U(mix64((seed ^ _SEED_TWEAK) & MASK64))
+    _mix_inplace(state)
     state ^= _U(8)  # byte length of one u64 block
-    return mix64_array(state)
+    _mix_inplace(state)
+    return state
 
 
 #: ``_BYTE_MASKS[i]`` keeps the low ``i`` bytes of a little-endian word.
@@ -156,12 +172,24 @@ def rho(y: int, width: int) -> int:
 
 
 def rho_array(y: np.ndarray, width: int) -> np.ndarray:
-    """Vectorized :func:`rho` on a uint64 array."""
+    """Vectorized :func:`rho` on a uint64 array, as int64 ranks.
+
+    Reads only the low ``width`` bits of each word:
+    ``rho_array(y, w) == rho(y & (2**w - 1), w)``, so callers need not
+    mask.  ``~y & (y - 1)`` keeps exactly the trailing zeros of ``y``
+    (all 64 bits for ``y == 0``), and clamping their count at ``width``
+    is the saturation of :func:`rho`.
+    """
+    if not 1 <= width <= 64:
+        raise ValueError(f"width must be in [1, 64], got {width}")
     y = y.astype(np.uint64, copy=False)
-    nonzero = y != 0
-    ym1 = np.where(nonzero, y - _U(1), _U(0))
-    trailing = np.bitwise_count((y ^ ym1) >> _U(1)).astype(np.int64)
-    return np.where(nonzero, trailing + 1, np.int64(width + 1))
+    rank = np.empty(y.shape, dtype=np.int64)
+    for blk in _blocks(len(y)):
+        trailing = y[blk] - _U(1)
+        trailing &= ~y[blk]
+        rank[blk] = np.minimum(np.bitwise_count(trailing), np.uint8(width))
+    rank += 1
+    return rank
 
 
 #: Precisions ``b`` whose ``m = 2**b`` registers take the top-bits layout.
@@ -197,18 +225,20 @@ def split_hash(raw: int, m: int) -> tuple[int, int]:
 
 
 def split_hash_array(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`split_hash`; returns int64 (buckets, ranks)."""
+    """Vectorized :func:`split_hash`; returns int64 (buckets, ranks).
+
+    ``raw`` is left as it is.  Both bucket formulas leave the top bit
+    clear, so the bucket array is the shifted words viewed as int64.
+    """
     raw = raw.astype(np.uint64, copy=False)
     b = top_bits_precision(m)
     if b is not None:
         w = 64 - b
-        bucket = (raw >> _U(w)).astype(np.int64)
-        geo = rho_array(raw & _U((1 << w) - 1), w)
-        return bucket, geo
-    top = raw >> _U(32)
-    bucket = ((_U(m) * top) >> _U(32)).astype(np.int64)
-    geo = rho_array(raw & _U(0xFFFFFFFF), 32)
-    return bucket, geo
+        return (raw >> _U(w)).view(np.int64), rho_array(raw, w)
+    bucket = raw >> _U(32)
+    bucket *= _U(m)
+    bucket >>= _U(32)
+    return bucket.view(np.int64), rho_array(raw, 32)
 
 
 def geo_width(m: int) -> int:
@@ -225,5 +255,7 @@ def stream_u64(n: int, stream_seed: int) -> np.ndarray:
     The seed itself is mixed first so that nearby seeds (trial indices)
     yield counter blocks that are astronomically unlikely to overlap.
     """
-    base = mix64(stream_seed & MASK64)
-    return mix64_array(np.arange(n, dtype=np.uint64) + _U(base))
+    stream = np.arange(n, dtype=np.uint64)
+    stream += _U(mix64(stream_seed & MASK64))
+    _mix_inplace(stream)
+    return stream

@@ -20,8 +20,13 @@ which returns E and V after each state change (a few thousand per
 trial), and reads the checkpoints off that trace; the counter's block
 path is tested against the element-at-a-time counter.
 
-Per-trial RNG streams are derived from ``(seed, trial index)`` alone and
-results are keyed by trial index, so any worker count yields the same
+A trial's stream, hashes and (bucket, rank) pairs come from the in-place
+array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived
+from ``(seed, trial index)`` alone.  One call cuts every kind's trials
+into blocks and runs them in one pass: in-process at ``workers=1``,
+otherwise through a single process pool, forked after every kind's bias
+constant is cached, so the pool starts once per call.  Blocks are filed
+by ``(kind, first trial)``, so any worker count yields the same
 aggregate rows as a sequential run.
 """
 
@@ -132,9 +137,9 @@ def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
     The sketch takes the stream one segment per checkpoint; a martingale
     trial is :func:`martingale_trace`.
     """
-    elements = stream_u64(n, trial_stream_seed(seed, trial))
-    hashed = hash64_u64_array(elements, seed)
-    bucket, geo = split_hash_array(hashed, m)
+    # nested, so the stream and its hashes are freed before the sketch allocates
+    bucket, geo = split_hash_array(
+        hash64_u64_array(stream_u64(n, trial_stream_seed(seed, trial)), seed), m)
     if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
     sketch = SKETCHES[kind](m=m, seed=seed)
@@ -155,40 +160,48 @@ def _trial_block(args) -> tuple[str, int, np.ndarray]:
     return kind, lo, block
 
 
-def _estimates_matrix(config: SimulationConfig, kind: str) -> np.ndarray:
-    m = config.registers_for(kind)
-    positions = config.checkpoint_positions()
-    if not config.martingale and kind != "pcsa":
-        # quadrature here, once: forked workers inherit the cached constant
-        bias_constant(m, SKETCHES[kind].neighbor_bit, config.asymptotic)
-    out = np.empty((config.trials, len(positions)))
-    if config.workers <= 1:
-        for t in range(config.trials):
-            out[t] = run_trial(kind, m, config.n, positions, config.seed, t,
-                               config.martingale, config.asymptotic)
-        return out
-    # imported here: the pool machinery is most of this module's import time
-    from concurrent.futures import ProcessPoolExecutor
+def _estimates(config: SimulationConfig) -> dict[str, np.ndarray]:
+    """Per kind, the (trials, checkpoints) estimate matrix of the campaign.
 
+    Every kind's trials are cut into the same blocks and run in one pass:
+    in this process at ``workers=1``, else through one process pool for
+    the whole call.  Blocks are filed by ``(kind, lo)``, so the matrices
+    do not depend on the worker count or on the order blocks finish in.
+    """
+    positions = config.checkpoint_positions()
+    sizes = {kind: config.registers_for(kind) for kind in config.kinds}
+    if not config.martingale:
+        # quadrature here, once per kind: forked workers inherit the cached constants
+        for kind, m in sizes.items():
+            if kind != "pcsa":
+                bias_constant(m, SKETCHES[kind].neighbor_bit, config.asymptotic)
     chunk = -(-config.trials // (config.workers * 4))
     tasks = [(kind, m, config.n, positions, config.seed, lo,
               min(lo + chunk, config.trials), config.martingale, config.asymptotic)
-             for lo in range(0, config.trials, chunk)]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        for _, lo, block in pool.map(_trial_block, tasks):
-            out[lo:lo + len(block)] = block
+             for kind, m in sizes.items() for lo in range(0, config.trials, chunk)]
+    if config.workers == 1:
+        blocks = list(map(_trial_block, tasks))
+    else:
+        # imported here: the pool machinery is most of this module's import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            blocks = list(pool.map(_trial_block, tasks))
+    out = {kind: np.empty((config.trials, len(positions))) for kind in config.kinds}
+    for kind, lo, block in blocks:
+        out[kind][lo:lo + len(block)] = block
     return out
 
 
 def simulate(config: SimulationConfig) -> list[SimulationRow]:
     """Run the campaign and aggregate per-checkpoint accuracy rows."""
     positions = config.checkpoint_positions()
+    estimates = _estimates(config)
     rows: list[SimulationRow] = []
-    for kind in config.kinds:
+    for kind, est in estimates.items():
         m = config.registers_for(kind)
         mem = SKETCHES[kind](m=m, seed=config.seed).memory_bits()
         label = f"martingale-{kind}" if config.martingale else kind
-        est = _estimates_matrix(config, kind)
         for i, pos in enumerate(positions):
             rel = est[:, i] / pos - 1.0
             rows.append(SimulationRow(

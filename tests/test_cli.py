@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,24 @@ def test_simulate_stdout_and_svg(tmp_path, capsys):
     assert code == 0
     assert out.startswith("sketch,m,")
     assert svg_path.read_text().startswith("<svg")
+
+
+def test_simulate_reports_its_throughput_on_stderr(tmp_path, capsys):
+    argv = ["simulate", "--sketch", "hll", "--sketch", "ehll", "--martingale", "--b", "4",
+            "--n", "200", "--trials", "3", "--checkpoints", "2", "--workers", "2"]
+    config = ehll.SimulationConfig(kinds=("hll", "ehll"), b=4, n=200, trials=3,
+                                   checkpoints=2, martingale=True)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == ehll.rows_to_csv(ehll.simulate(config))
+    line = re.fullmatch(r"simulate: kinds=martingale-ehll,martingale-hll trials=6 workers=2 "
+                        r"wall_s=(\d+\.\d{3}) trials_per_s=(\d+\.\d)\n", err)
+    assert line, err
+    assert float(line[2]) == pytest.approx(6 / float(line[1]), rel=0.1, abs=0.1)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "r.csv"))
+    assert code == 0 and out == ""
+    assert (tmp_path / "r.csv").read_text() == ehll.rows_to_csv(ehll.simulate(config))
+    assert err.startswith("simulate: kinds=martingale-ehll,martingale-hll trials=6 workers=2 ")
 
 
 def test_simulate_bad_config_exits_2(capsys):

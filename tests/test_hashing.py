@@ -117,6 +117,59 @@ def test_rho_array_matches_scalar():
         assert rho(y, 54) == r
 
 
+def test_rho_array_reads_only_the_low_width_bits():
+    rng = np.random.default_rng(3)
+    words = rng.integers(0, 2**64, size=300, dtype=np.uint64, endpoint=False).tolist()
+    words += [0, 2**64 - 1, 1 << 63] + [1 << k for k in range(64)]
+    words += [(2**64 - 1) << k & (2**64 - 1) for k in range(64)]  # low k bits zero
+    ys = np.array(words, dtype=np.uint64)
+    for w in range(1, 65):
+        got = rho_array(ys, w)
+        assert got.dtype == np.int64
+        assert got.tolist() == [rho(y & ((1 << w) - 1), w) for y in words], w
+
+
+@pytest.mark.parametrize("width", [0, -1, 65])
+def test_rho_array_rejects_widths_outside_1_to_64(width):
+    with pytest.raises(ValueError, match=r"width must be in \[1, 64\]"):
+        rho_array(np.zeros(3, dtype=np.uint64), width)
+
+
+_WORDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 2**64 - 1, 1 << 63]),
+    st.integers(1, 19).flatmap(  # top-bits layout of 2**b: the rank bits are all zero
+        lambda b: st.integers(1, 2**b - 1).map(lambda h: h << (64 - b))),
+    st.integers(1, 2**32 - 1).map(lambda h: h << 32),  # 32/32 layout: zero rank half
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(_WORDS, min_size=1, max_size=60),
+       m=st.sampled_from([1, 3, 16, 1024, 1195, 1280, 2**18, 2**19]))
+def test_split_hash_array_matches_split_hash(words, m):
+    bucket, geo = split_hash_array(np.array(words, dtype=np.uint64), m)
+    assert bucket.dtype == np.int64 and geo.dtype == np.int64
+    assert list(zip(bucket.tolist(), geo.tolist())) == [split_hash(w, m) for w in words]
+
+
+def test_array_kernels_leave_inputs_unmodified():
+    values = np.array([0, 1, 2**63, 2**64 - 1, 12345], dtype=np.uint64)
+    signed = values.view(np.int64).copy()
+    for arr in (values, signed):
+        before = arr.copy()
+        hashed = hash64_u64_array(arr, seed=5)
+        assert hashed.dtype == np.uint64 and np.array_equal(arr, before)
+        assert hashed.tolist() == hash64_u64_array(before, seed=5).tolist()
+    before = hashed.copy()
+    for m in (1024, 1195):
+        bucket, geo = split_hash_array(hashed, m)
+        assert bucket.dtype == np.int64 and geo.dtype == np.int64
+        assert np.array_equal(hashed, before)
+        ys = hashed.copy()
+        assert rho_array(ys, 32).dtype == np.int64 and np.array_equal(ys, before)
+
+
 def test_split_hash_examples():
     assert split_hash(0, 1 << 4) == (0, 61)
     raw = (0b1010 << 60) | 0b100

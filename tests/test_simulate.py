@@ -176,6 +176,41 @@ def test_simulate_deterministic_and_worker_independent():
     assert rows_to_csv(simulate(cfg2)) == csv_a
 
 
+#: Multi-kind campaigns; 25 trials make the chunk size differ per worker count.
+_MULTI_KIND = {
+    "matched": dict(kinds=("ehll", "hll", "hll-tc", "ehll-tc"), match_memory=True),
+    "martingale": dict(kinds=("ehll", "hll"), martingale=True),
+    "plain": dict(kinds=("pcsa", "hll", "ehll")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_KIND))
+def test_multi_kind_simulate_is_worker_independent(name):
+    csvs = {workers: rows_to_csv(simulate(SimulationConfig(
+                b=4, n=300, trials=25, checkpoints=3, seed=13, workers=workers,
+                **_MULTI_KIND[name])))
+            for workers in (1, 2, 3)}
+    assert csvs[2] == csvs[1] and csvs[3] == csvs[1]
+
+
+def test_one_pool_per_simulate_call(monkeypatch):
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    for workers, pools in ((1, []), (2, [2]), (3, [3])):
+        made.clear()
+        simulate(SimulationConfig(kinds=("ehll", "hll", "hll-tc"), b=4, n=200, trials=4,
+                                  checkpoints=2, seed=2, workers=workers))
+        assert made == pools
+
+
 def test_martingale_simulate_smoke():
     cfg = SimulationConfig(kinds=("ehll", "hll"), b=4, n=500, trials=6,
                            checkpoints=2, seed=5, martingale=True)
