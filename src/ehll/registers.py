@@ -14,6 +14,10 @@ word and shifts register ``i`` of the group by ``i * width``: one
 vectorized shift and mask over ``ceil(m / 8)`` words, the same bytes as
 the scalar layout.
 
+:class:`BitArray` (PCSA bitmaps, neighbor bits) is the width-1 array with a
+byte-wise codec over the same bytes, ``np.unpackbits``/``np.packbits``,
+4-25x faster there, plus the bitmap operations ``set_ones`` and ``or_with``.
+
 Arrays are single-writer: concurrent readers are safe only while no
 writer is active, and instances can be handed between threads.
 """
@@ -31,18 +35,14 @@ class PackedRegisterArray:
 
     __slots__ = ("m", "width", "buffer")
 
-    def __init__(self, m: int, width: int, fill: int = 0):
+    def __init__(self, m: int, width: int):
         if m < 1:
             raise ValueError("register count must be >= 1")
         if not 1 <= width <= 8:
             raise ValueError("register width must be in [1, 8]")
-        if not 0 <= fill < (1 << width):
-            raise ValueError(f"fill {fill} does not fit in {width} bits")
         self.m = m
         self.width = width
         self.buffer = np.zeros((m * width + 7) // 8, dtype=_U8)
-        if fill:
-            self.set_values(np.full(m, fill, dtype=np.int64))
 
     def get(self, j: int) -> int:
         if not 0 <= j < self.m:
@@ -109,7 +109,7 @@ class PackedRegisterArray:
         return self.m * self.width
 
     def copy(self) -> "PackedRegisterArray":
-        dup = PackedRegisterArray.__new__(PackedRegisterArray)
+        dup = type(self).__new__(type(self))
         dup.m, dup.width = self.m, self.width
         dup.buffer = self.buffer.copy()
         return dup
@@ -123,30 +123,22 @@ class PackedRegisterArray:
         )
 
     def __repr__(self) -> str:
-        return f"PackedRegisterArray(m={self.m}, width={self.width})"
+        return f"{type(self).__name__}(m={self.m}, width={self.width})"
 
 
-class BitArray:
-    """``m`` single-bit registers (LSB-first packing within each byte)."""
+class BitArray(PackedRegisterArray):
+    """``m`` single-bit registers with a byte-wise codec; ``fill`` sets them all."""
 
-    __slots__ = ("m", "buffer")
+    __slots__ = ()
 
     def __init__(self, m: int, fill: int = 0):
-        if m < 1:
-            raise ValueError("bit count must be >= 1")
         if fill not in (0, 1):
             raise ValueError("fill must be 0 or 1")
-        self.m = m
-        self.buffer = np.zeros((m + 7) // 8, dtype=_U8)
+        super().__init__(m, 1)
         if fill:
             self.buffer[:] = 0xFF
-            self._clear_tail()
-
-    def _clear_tail(self) -> None:
-        # Bits beyond m in the last byte stay zero so buffers compare equal.
-        tail = self.m & 7
-        if tail:
-            self.buffer[-1] &= (1 << tail) - 1
+            if m & 7:  # bits beyond m stay zero so buffers compare equal
+                self.buffer[-1] = (1 << (m & 7)) - 1
 
     def get(self, j: int) -> int:
         if not 0 <= j < self.m:
@@ -171,9 +163,6 @@ class BitArray:
         if vals.shape != (self.m,):
             raise ValueError(f"expected {self.m} values, got shape {vals.shape}")
         self.buffer = np.packbits(vals.astype(bool), bitorder="little")
-        pad = (self.m + 7) // 8 - len(self.buffer)
-        if pad:
-            self.buffer = np.concatenate([self.buffer, np.zeros(pad, dtype=_U8)])
 
     def set_ones(self, idx: np.ndarray) -> None:
         """Set the bits at ``idx`` (repeats allowed) to 1."""
@@ -186,27 +175,3 @@ class BitArray:
         if self.m != other.m:
             raise ValueError("bit array size mismatch")
         self.buffer |= other.buffer
-
-    def zero_count(self) -> int:
-        ones = int(np.bitwise_count(self.buffer).sum())
-        return self.m - ones
-
-    def memory_bits(self) -> int:
-        return self.m
-
-    def copy(self) -> "BitArray":
-        dup = BitArray.__new__(BitArray)
-        dup.m = self.m
-        dup.buffer = self.buffer.copy()
-        return dup
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitArray)
-            and self.m == other.m
-            and np.array_equal(self.buffer, other.buffer)
-        )
-
-    def __repr__(self) -> str:
-        return f"BitArray(m={self.m})"
-

@@ -61,7 +61,7 @@ def serialize(sketch) -> bytes:
     header.append(VERSION)
     header.append(KIND_TAGS[sketch.kind])
     header.append(b)
-    header += (sketch.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    header += sketch.seed.to_bytes(8, "little")
     for name in sketch._header:
         value = getattr(sketch, name)
         if not 0 <= value <= 0xFF:

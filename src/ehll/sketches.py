@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis
 from .hashing import (
+    MASK64,
     check_precision,
     geo_width,
     hash64,
@@ -173,7 +175,7 @@ class _SketchBase:
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         self.m = _resolve_size(b, m)
-        self.seed = seed
+        self.seed = operator.index(seed) & MASK64  # hashing reads it mod 2^64
         self.width = geo_width(self.m)
 
     def _split(self, element) -> tuple[int, int]:
@@ -210,6 +212,8 @@ class _SketchBase:
     def insert_batch(self, values: np.ndarray) -> None:
         """Vectorized insert of an integer element array (bit-identical result)."""
         values = np.asarray(values)
+        if values.ndim != 1:
+            raise ValueError(f"insert_batch needs a 1-D array, got shape {values.shape}")
         if values.dtype.kind not in "iu":
             raise TypeError(f"insert_batch needs an integer array, got {values.dtype}")
         bucket, geo = self._split_batch(values)
@@ -282,9 +286,10 @@ class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
     A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
-    (one cell), ``effective_values``/``_set_ranks`` (all cells), and may
-    refine ``_clamp``, ``_term``/``_terms``, ``_after_insert``, ``_load``,
-    ``_rebuild``, ``_runs`` and ``_loaded``.  Neighbor bits live in ``bits``.
+    (one cell), ``effective_values``/``_set_ranks`` (all cells, refreshing
+    any state derived from them), and may refine ``_clamp``,
+    ``_term``/``_terms``, ``_after_insert``, ``_load``, ``_run_end`` and
+    ``_loaded``.  Neighbor bits live in ``bits``.
     """
 
     neighbor_bit = False
@@ -332,10 +337,6 @@ class _RankSketch(_SketchBase):
         self._store(k, x)
         self._reset_sum(k, x)
 
-    def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Recompute derived state after a batch stored the cells ``(k, x)``."""
-        self._reset_sum(k, x)
-
     # -- the rule -----------------------------------------------------------
 
     def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -373,14 +374,22 @@ class _RankSketch(_SketchBase):
         self._after_insert(k, new_k)
         return True
 
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray) -> int:
+        """Length of the leading order-free run from this state: all of it, for the plain rule."""
+        return len(bucket)
+
     def _runs(self, bucket: np.ndarray, geo: np.ndarray):
         """Yield ``(lo, hi)``: pairs ``[lo, hi)`` are order-free, then pair ``hi`` alone.
 
-        The caller applies each run (and its cut pair, if ``hi`` is in the
-        batch) before the generator resumes, so a codec can read the state
-        the run left.  The plain rule ignores order: one run.
+        The caller applies both before resuming: ``_run_end`` reads the state they left.
         """
-        yield 0, len(bucket)
+        lo, n = 0, len(bucket)
+        while True:
+            hi = lo + self._run_end(bucket[lo:], geo[lo:])
+            yield lo, hi
+            lo = hi + 1
+            if lo >= n:
+                return
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         for lo, hi in self._runs(bucket, geo):
@@ -401,7 +410,7 @@ class _RankSketch(_SketchBase):
             x[k <= 1] = 1
         k, x = self._union(k0, x0, k, x)
         self._store(k, x)
-        self._rebuild(k, x)
+        self._reset_sum(k, x)
 
     def _loaded(self) -> bool:
         k, x = self._cells()

@@ -22,10 +22,10 @@ ceiling, and no such evidence was retained.
 Cells interact only through the base, and the base moves only when the
 last zero offset lifts; under a fixed base only a rank above the ceiling
 ``base + 15`` can clamp.  So order matters at two kinds of element, and
-``_runs`` cuts a batch at each: the element that lifts the last zero
-offset, and each rank above the ceiling.  Between cuts the cell rule is
-the plain one and the run goes in with the vectorized union; a cut
-element goes in alone.  Batch and sequential inserts are bit-identical.
+``_run_end`` ends a run at the first of them: the element that lifts the
+last zero offset, or a rank above the ceiling.  The run goes in with the
+vectorized union, whose write recounts the zero offsets; that element
+goes in alone.  Batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class _TailCutBase(_RankSketch):
 
     def _set_ranks(self, k: np.ndarray) -> None:
         self.offsets.set_values(k - self.base)
+        self._zero_offsets = int(np.count_nonzero(k == self.base))
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         if k - self.base > OFFSET_MAX:
@@ -100,11 +101,6 @@ class _TailCutBase(_RankSketch):
         """Shift the common minimum offset into the base (no effective change)."""
         self._load(*self._cells())  # the canonical encoding has base = min
 
-    def _rebuild(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        # a run stops short of the last zero offset's lift: no promotion here
-        self._zero_offsets = int(np.count_nonzero(k == self.base))
-        super()._rebuild(k, x)
-
     def _encode_effective(self, eff: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Canonical (base, offsets, truncated-mask) encoding of effective values."""
         base = int(eff.min())
@@ -115,28 +111,20 @@ class _TailCutBase(_RankSketch):
     def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
         """Re-encode cells canonically: exact for a promotion, best effort for a merge."""
         self.base, offs, truncated = self._encode_effective(k)
-        self._zero_offsets = int(np.count_nonzero(offs == 0))
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
-    def _runs(self, bucket: np.ndarray, geo: np.ndarray):
-        lo, n = 0, len(bucket)
-        while lo < n:
-            bu, ge = bucket[lo:], geo[lo:]
-            # the base holds until every zero-offset cell has been lifted
-            end = len(bu)
-            if end >= self._zero_offsets:  # each element lifts at most one
-                zero = self.offsets.values() == 0
-                up = np.flatnonzero((ge > self.base) & zero[bu])
-                first_lift = np.full(self.m, end)
-                np.minimum.at(first_lift, bu[up], up)
-                end = int(first_lift[zero].max())
-            # under this base only a rank above the ceiling can clamp
-            cuts = np.flatnonzero(ge[:end] > self.base + OFFSET_MAX).tolist()
-            start = lo
-            for cut in (*cuts, end):
-                yield start, lo + cut
-                start = lo + cut + 1
-            lo = start
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray) -> int:
+        # under this base only a rank above the ceiling can clamp
+        above = np.flatnonzero(geo > self.base + OFFSET_MAX)
+        end = int(above[0]) if len(above) else len(bucket)
+        # the base holds until every zero-offset cell has been lifted
+        if end >= self._zero_offsets:  # each element lifts at most one
+            zero = self.offsets.values() == 0
+            up = np.flatnonzero((geo[:end] > self.base) & zero[bucket[:end]])
+            first_lift = np.full(self.m, end)
+            np.minimum.at(first_lift, bucket[up], up)
+            end = int(first_lift[zero].max())
+        return end
 
     def _loaded(self) -> bool:
         # every update path promotes or re-encodes, leaving a zero offset

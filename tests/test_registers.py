@@ -9,11 +9,11 @@ from ehll.registers import BitArray, PackedRegisterArray
 
 
 def test_fill_and_memory():
-    a = PackedRegisterArray(16, 6, 0)
+    a = PackedRegisterArray(16, 6)
     assert [a.get(j) for j in range(16)] == [0] * 16
     b = BitArray(8, fill=1)
     assert [b.get(j) for j in range(8)] == [1] * 8
-    assert PackedRegisterArray(1024, 6, 0).memory_bits() == 6144
+    assert PackedRegisterArray(1024, 6).memory_bits() == 6144
 
 
 def test_buffer_size_is_exact():
@@ -25,7 +25,7 @@ def test_buffer_size_is_exact():
 
 
 def test_roundtrip_and_isolation():
-    a = PackedRegisterArray(8, 6, 0)
+    a = PackedRegisterArray(8, 6)
     a.set(3, 63)
     assert a.get(3) == 63
     a.set(3, 5)
@@ -38,8 +38,6 @@ def test_invalid_arguments():
         PackedRegisterArray(0, 6)
     with pytest.raises(ValueError):
         PackedRegisterArray(4, 9)
-    with pytest.raises(ValueError):
-        PackedRegisterArray(4, 6, fill=64)
     a = PackedRegisterArray(4, 6)
     with pytest.raises(IndexError):
         a.get(4)
@@ -74,7 +72,7 @@ def test_fuzz_against_mirror():
 
 
 def test_zero_count():
-    a = PackedRegisterArray(16, 6, 0)
+    a = PackedRegisterArray(16, 6)
     assert a.zero_count() == 16
     a.set(5, 9)
     assert a.zero_count() == 15
@@ -130,3 +128,34 @@ def test_copy_and_eq():
     assert c == a
     c.set(2, 1)
     assert c != a and a.get(2) == 33
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 70), data=st.data())
+def test_bitarray_is_the_width_one_array(m, data):
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    a, p = BitArray(m), PackedRegisterArray(m, 1)
+    a.set_values(bits)
+    p.set_values(bits)
+    assert np.array_equal(a.buffer, p.buffer)
+    assert np.array_equal(a.values(), p.values())
+    assert [a.get(j) for j in range(m)] == [p.get(j) for j in range(m)] == bits.tolist()
+    assert a == p and p == a
+
+
+def test_bitarray_fill_copy_and_inherited_counts():
+    for m in (1, 7, 8, 9, 53, 64, 1195):
+        ones = PackedRegisterArray(m, 1)
+        ones.set_values(np.ones(m, dtype=np.int64))
+        full = BitArray(m, fill=1)
+        assert full == ones and ones == full
+        assert full.zero_count() == 0 and BitArray(m).zero_count() == m
+        assert full.memory_bits() == BitArray(m).memory_bits() == m
+        dup = full.copy()
+        assert type(dup) is BitArray and dup == full
+        dup.set(0, 0)
+        assert dup != full and full.get(0) == 1 and dup.zero_count() == 1
+    for name in ("zero_count", "memory_bits", "copy", "__eq__", "__repr__"):
+        assert name not in vars(BitArray)
+    with pytest.raises(ValueError):
+        BitArray(4, fill=2)

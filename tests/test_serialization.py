@@ -148,3 +148,16 @@ def test_fuzz_roundtrip_many_states():
                                       dtype=np.uint64).tolist())
             data = serialize(s)
             assert serialize(deserialize(data)) == data
+
+
+@pytest.mark.parametrize("cls", ALL_KINDS)
+def test_seed_is_stored_mod_2_64(cls):
+    # hashing and the file header read the seed mod 2^64; so does the sketch
+    for seed, twin_seed in ((-5, 2**64 - 5), (2**64 + 3, 3)):
+        s, twin = _populated(cls, b=10, seed=seed), _populated(cls, b=10, seed=twin_seed)
+        assert s.seed == twin_seed and s == twin
+        back = deserialize(serialize(s))
+        assert back == s
+        assert s.merge(back) == s.merge(twin)
+    with pytest.raises(TypeError):
+        cls(b=4, seed=1.0)

@@ -1,6 +1,7 @@
 """Core sketch behavior: transitions, indicators, estimates, merges."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,15 @@ def test_insert_batch_rejects_non_integer_arrays():
         assert s == cls(b=4)
         s.insert_batch(np.array([1, 2], dtype=np.int64))
         assert s != cls(b=4)
+
+
+def test_insert_batch_rejects_arrays_that_are_not_1d():
+    for cls in SKETCHES.values():
+        s = cls(b=6)
+        for bad in (np.arange(64, dtype=np.int64).reshape(8, 8), np.array(5)):
+            with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}")):
+                s.insert_batch(bad)
+        assert s == cls(b=6)
 
 
 def test_merge_identity_commutativity():
