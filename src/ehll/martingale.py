@@ -152,8 +152,8 @@ class MartingaleCounter:
         """
         inner, n = self.inner, len(bucket)
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for lo, hi in inner._runs(bucket, geo):
-            bu, ge, cells = bucket[lo:hi], geo[lo:hi], inner._cells()
+        for lo, hi, cells in inner._runs(bucket, geo):
+            bu, ge = bucket[lo:hi], geo[lo:hi]
             at, delta = change_deltas(bu, ge, *cells, inner._terms)
             # q before each change: the term sum plus the deltas of the changes before it
             arrivals.append(at + lo)

@@ -71,10 +71,6 @@ def _check_domain(n: int, m: int, K: int) -> None:
         raise ValueError("truncation depth K must be >= 40")
 
 
-def _hll_states(K: int) -> list[int]:
-    return list(range(0, K + 1))  # 0 = empty cell
-
-
 def _hll_pmf(n_j: int, K: int) -> list[Fraction]:
     """Exact P(register = k) after n_j elements, k = 0..K (state 0 = empty)."""
     pmf = [Fraction(0)] * (K + 1)

@@ -86,16 +86,20 @@ class PackedRegisterArray:
         vals &= _WORD.type((1 << self.width) - 1)
         return vals.reshape(-1)[:self.m].view(np.int64)
 
-    def set_values(self, vals: np.ndarray) -> None:
-        """Repack the whole array from an int array of register values."""
+    def _checked(self, vals: np.ndarray) -> np.ndarray:
+        """``vals`` as int64, if they are ``m`` values that fit in ``width`` bits."""
         vals = np.asarray(vals, dtype=np.int64)
         if vals.shape != (self.m,):
             raise ValueError(f"expected {self.m} values, got shape {vals.shape}")
-        if vals.min() < 0 or vals.max() >= (1 << self.width):
+        if vals.view(np.uint64).max() >> self.width:  # a negative, as unsigned, is too wide
             raise ValueError(f"values do not fit in {self.width} bits")
+        return vals
+
+    def set_values(self, vals: np.ndarray) -> None:
+        """Repack the whole array from an int array of register values."""
         groups, shifts = self._groups()
         lanes = np.zeros((groups, 8), dtype=_WORD)
-        lanes.reshape(-1)[:self.m] = vals
+        lanes.reshape(-1)[:self.m] = self._checked(vals)
         words = np.bitwise_or.reduce(lanes << shifts, axis=1)
         packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
         self.buffer = packed[:len(self.buffer)]
@@ -159,10 +163,7 @@ class BitArray(PackedRegisterArray):
         return np.unpackbits(self.buffer, count=self.m, bitorder="little").astype(np.int64)
 
     def set_values(self, vals: np.ndarray) -> None:
-        vals = np.asarray(vals)
-        if vals.shape != (self.m,):
-            raise ValueError(f"expected {self.m} values, got shape {vals.shape}")
-        self.buffer = np.packbits(vals.astype(bool), bitorder="little")
+        self.buffer = np.packbits(self._checked(vals).astype(bool), bitorder="little")
 
     def set_ones(self, idx: np.ndarray) -> None:
         """Set the bits at ``idx`` (repeats allowed) to 1."""

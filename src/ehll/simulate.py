@@ -230,9 +230,10 @@ def rows_to_csv(rows: list[SimulationRow]) -> str:
 # minimal static SVG rendering (convenience only)
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_SVG_WIDTH, _SVG_HEIGHT = 640, 420  # pixels
 
 
-def rows_to_svg(rows: list[SimulationRow], width: int = 640, height: int = 420) -> str:
+def rows_to_svg(rows: list[SimulationRow]) -> str:
     """One polyline of relative RMSE vs n per sketch label."""
     groups: dict[str, list[SimulationRow]] = {}
     for r in rows:
@@ -244,7 +245,7 @@ def rows_to_svg(rows: list[SimulationRow], width: int = 640, height: int = 420) 
     x0, x1 = min(xs), max(xs)
     y1 = max(ys) * 1.05 or 1.0
     ml, mr, mt, mb = 60, 16, 20, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _SVG_WIDTH - ml - mr, _SVG_HEIGHT - mt - mb
 
     def px(n: float) -> float:
         return ml + (0.0 if x1 == x0 else (n - x0) / (x1 - x0)) * pw
@@ -253,12 +254,12 @@ def rows_to_svg(rows: list[SimulationRow], width: int = 640, height: int = 420) 
         return mt + ph - v / y1 * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">'
+        f'<text x="{ml + pw / 2:.1f}" y="{_SVG_HEIGHT - 10}" text-anchor="middle">'
         "distinct elements n</text>",
         f'<text x="14" y="{mt + ph / 2:.1f}" transform="rotate(-90 14 {mt + ph / 2:.1f})" '
         'text-anchor="middle">relative RMSE</text>',

@@ -286,10 +286,13 @@ class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
     A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
-    (one cell), ``effective_values``/``_set_ranks`` (all cells, refreshing
-    any state derived from them), and may refine ``_clamp``,
-    ``_term``/``_terms``, ``_after_insert``, ``_load``, ``_run_end`` and
-    ``_loaded``.  Neighbor bits live in ``bits``.
+    (one cell), ``effective_values`` (reads all cells) and ``_set_ranks``
+    (stores them), and may refine ``_clamp``, ``_term``/``_terms``,
+    ``_after_insert``, ``_derive``, ``_load``, ``_run_end`` and ``_loaded``.
+    Neighbor bits live in ``bits``.  State computed from the cells (the term
+    sum, TailCut's ``_zero_offsets``) moves only incrementally in the scalar
+    step and exactly in ``_derive``, which ``_store`` calls after every full
+    write and ``_loaded``/``resync_term_sum`` after a read.
     """
 
     neighbor_bit = False
@@ -332,11 +335,6 @@ class _RankSketch(_SketchBase):
     def _after_insert(self, k: int, new_k: int) -> None:
         pass
 
-    def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Replace every cell by a merged (rank, bit) state."""
-        self._store(k, x)
-        self._reset_sum(k, x)
-
     # -- the rule -----------------------------------------------------------
 
     def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -346,6 +344,9 @@ class _RankSketch(_SketchBase):
         self._set_ranks(k)
         if x is not None:
             self.bits.set_values(x)
+        self._derive(k, x)
+
+    _load = _store  # a merged (rank, bit) state needs no re-encoding here
 
     def _union(self, k_a, x_a, k_b, x_b) -> tuple[np.ndarray, np.ndarray | None]:
         if self.neighbor_bit:
@@ -374,26 +375,25 @@ class _RankSketch(_SketchBase):
         self._after_insert(k, new_k)
         return True
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray) -> int:
-        """Length of the leading order-free run from this state: all of it, for the plain rule."""
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray) -> int:
+        """Length of the leading order-free run over the ranks ``k``: all, for the plain rule."""
         return len(bucket)
 
     def _runs(self, bucket: np.ndarray, geo: np.ndarray):
-        """Yield ``(lo, hi)``: pairs ``[lo, hi)`` are order-free, then pair ``hi`` alone.
+        """Yield ``(lo, hi, cells)``: ``[lo, hi)`` is order-free on ``cells``, then pair ``hi``.
 
-        The caller applies both before resuming: ``_run_end`` reads the state they left.
+        The caller applies both before resuming; the next run's cells are read from the state left.
         """
         lo, n = 0, len(bucket)
-        while True:
-            hi = lo + self._run_end(bucket[lo:], geo[lo:])
-            yield lo, hi
+        while lo < n:
+            cells = self._cells()
+            hi = lo + self._run_end(bucket[lo:], geo[lo:], cells[0])
+            yield lo, hi, cells
             lo = hi + 1
-            if lo >= n:
-                return
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        for lo, hi in self._runs(bucket, geo):
-            self._union_batch(bucket[lo:hi], geo[lo:hi], *self._cells())
+        for lo, hi, cells in self._runs(bucket, geo):
+            self._union_batch(bucket[lo:hi], geo[lo:hi], *cells)
             if hi < len(bucket):
                 self._insert_bg(int(bucket[hi]), int(geo[hi]))
 
@@ -408,9 +408,7 @@ class _RankSketch(_SketchBase):
             x = np.zeros(self.m, dtype=np.int64)
             x[bucket[geo == k[bucket] - 1]] = 1
             x[k <= 1] = 1
-        k, x = self._union(k0, x0, k, x)
-        self._store(k, x)
-        self._reset_sum(k, x)
+        self._store(*self._union(k0, x0, k, x))
 
     def _loaded(self) -> bool:
         k, x = self._cells()
@@ -419,7 +417,7 @@ class _RankSketch(_SketchBase):
             bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
         if bad.any():
             return False
-        self._reset_sum(k, x)
+        self._derive(k, x)
         return True
 
     def indicator(self) -> float:
@@ -432,9 +430,10 @@ class _RankSketch(_SketchBase):
 
     def resync_term_sum(self) -> None:
         """Recompute the running change-probability sum exactly from the cells."""
-        self._reset_sum(*self._cells())
+        self._derive(*self._cells())
 
-    def _reset_sum(self, k: np.ndarray, x: np.ndarray | None) -> None:
+    def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        """Rebuild the state computed from all cells ``(k, x)``: the exact term sum."""
         self._sum, self._sum_err = float(self._terms(k, x).sum()), 0.0
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:

@@ -22,10 +22,11 @@ ceiling, and no such evidence was retained.
 Cells interact only through the base, and the base moves only when the
 last zero offset lifts; under a fixed base only a rank above the ceiling
 ``base + 15`` can clamp.  So order matters at two kinds of element, and
-``_run_end`` ends a run at the first of them: the element that lifts the
-last zero offset, or a rank above the ceiling.  The run goes in with the
-vectorized union, whose write recounts the zero offsets; that element
-goes in alone.  Batch and sequential inserts are bit-identical.
+``_run_end``, given the cells the run walker read, ends a run at the
+first of them: the element that lifts the last zero offset, or a rank
+above the ceiling.  The run goes in with the vectorized union, whose
+write ends in ``_derive``, the one recount of the zero offsets; that
+element goes in alone.  Batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class _TailCutBase(_RankSketch):
 
     def _set_ranks(self, k: np.ndarray) -> None:
         self.offsets.set_values(k - self.base)
+
+    def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        super()._derive(k, x)
         self._zero_offsets = int(np.count_nonzero(k == self.base))
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
@@ -113,13 +117,13 @@ class _TailCutBase(_RankSketch):
         self.base, offs, truncated = self._encode_effective(k)
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray) -> int:
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray) -> int:
         # under this base only a rank above the ceiling can clamp
         above = np.flatnonzero(geo > self.base + OFFSET_MAX)
         end = int(above[0]) if len(above) else len(bucket)
         # the base holds until every zero-offset cell has been lifted
         if end >= self._zero_offsets:  # each element lifts at most one
-            zero = self.offsets.values() == 0
+            zero = k == self.base
             up = np.flatnonzero((geo[:end] > self.base) & zero[bucket[:end]])
             first_lift = np.full(self.m, end)
             np.minimum.at(first_lift, bucket[up], up)
@@ -128,8 +132,7 @@ class _TailCutBase(_RankSketch):
 
     def _loaded(self) -> bool:
         # every update path promotes or re-encodes, leaving a zero offset
-        self._zero_offsets = int(np.count_nonzero(self.offsets.values() == 0))
-        return self._zero_offsets > 0 and super()._loaded()
+        return super()._loaded() and self._zero_offsets > 0
 
 
 class HllTcSketch(_TailCutBase):

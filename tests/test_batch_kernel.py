@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
+from ehll.martingale import MartingaleCounter
 from ehll.oracle import derive_cells, shadow_from_stream
-from ehll.registers import PackedRegisterArray
+from ehll.registers import BitArray, PackedRegisterArray
 from ehll.serialization import SKETCHES, deserialize, serialize
 from ehll.tailcut import OFFSET_MAX, _TailCutBase
 
@@ -78,6 +79,47 @@ def test_empty_and_all_duplicate_batches(kind):
     assert one == scalar_replay(cls, values[:1], b=10)
     if kind != "pcsa":
         assert s.change_probability() == before.change_probability()
+
+
+def count_calls(monkeypatch, cls, name):
+    """Record each call of ``cls.name`` made while the test runs."""
+    calls, method = [], vars(cls)[name]
+    monkeypatch.setattr(cls, name, lambda self, *a: calls.append(name) or method(self, *a))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
+def test_empty_batch_reads_and_writes_no_register(kind, monkeypatch):
+    s = batched(SKETCHES[kind], stream_u64(2000, 8), 2000, b=10)
+    counter = MartingaleCounter(s.copy())
+    before, q = s.copy(), s.change_probability()
+    io = [count_calls(monkeypatch, cls, name) for cls in (PackedRegisterArray, BitArray)
+          for name in ("values", "set_values")]
+    s.insert_batch(np.zeros(0, dtype=np.uint64))
+    empty = np.zeros(0, dtype=np.int64)
+    out = counter.insert_bg_batch(empty, empty)
+    assert sum(map(len, io)) == 0
+    assert [len(a) for a in out] == [0, 0, 0]
+    for got in (s, counter.inner):
+        assert got == before and got.change_probability() == q
+
+
+@pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
+def test_tailcut_reads_its_offsets_once_per_load_and_per_run(kind, monkeypatch):
+    cls = SKETCHES[kind]
+    data = serialize(batched(cls, stream_u64(5000, 3), 5000, b=10))
+    reads = count_calls(monkeypatch, PackedRegisterArray, "values")
+    deserialize(data)
+    assert len(reads) == 1
+    # cell 0 keeps its zero offset, so the base holds and every run scans for lifts;
+    # the three ranks above the ceiling cut the batch into four runs
+    bucket = np.arange(300) % 15 + 1
+    geo = np.full(300, 3)
+    geo[[50, 120, 121]] = 20
+    for walk in (cls(m=16)._insert_bg_batch, MartingaleCounter(cls(m=16)).insert_bg_batch):
+        reads.clear()
+        walk(bucket, geo)
+        assert len(reads) == 4
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])

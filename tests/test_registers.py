@@ -50,6 +50,12 @@ def test_invalid_arguments():
         b.get(4)
     with pytest.raises(ValueError):
         b.set(0, 2)
+    for a in (b, PackedRegisterArray(4, 1)):
+        for bad in ([0, 2, -1, 0], [0, -1, 0, 0], [0, 0, 2, 0]):
+            with pytest.raises(ValueError, match="do not fit in 1 bits"):
+                a.set_values(np.array(bad))
+        with pytest.raises(ValueError, match="expected 4 values"):
+            a.set_values(np.zeros(5, dtype=np.int64))
 
 
 def test_fuzz_against_mirror():

@@ -14,7 +14,7 @@ from ehll.serialization import (
     serialize,
 )
 from ehll.sketches import EhllSketch, HllSketch
-from ehll.tailcut import EhllTcSketch, HllTcSketch
+from ehll.tailcut import EhllTcSketch, HllTcSketch, _TailCutBase
 
 ALL_KINDS = list(SKETCHES.values())
 
@@ -46,6 +46,12 @@ def test_roundtrip_preserves_behavior(cls):
     s.insert(b"more")
     back.insert(b"more")
     assert back == s
+    if issubclass(cls, _TailCutBase):
+        # after mixed scalar and batch inserts; TailCut term sums are exact
+        s.insert_batch(stream_u64(3000, 56))
+        back = deserialize(serialize(s))
+        assert back._zero_offsets == s._zero_offsets
+        assert back.change_probability() == s.change_probability()
 
 
 def test_header_fields():
