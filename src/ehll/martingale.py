@@ -26,6 +26,18 @@ it.  E and V then advance over every change of the block with one
 cumulative sum in arrival order, and the block returns them after each
 change, so a trace of the estimator over a stream is one block insert.
 
+Few pairs of a long run can change a cell: a cell's max only grows, and
+past the first few thousand pairs most ranks sit well below it.  So
+before the scan a run is cut into chunks of ``_CHUNK`` pairs, and a pair
+is kept only if its rank is at least its cell's max at the chunk start
+minus one (two-field cells) or above that max (max-rank cells); one
+``np.maximum.at`` per chunk moves the maxima on.  This is exact: a
+dropped pair's rank is at or below its cell's max when it arrives, and
+for a two-field cell at least two below, so it is neither a grow nor a
+rank one below the max, and cannot raise the running max either.  The
+scan and the sketch union see only the kept pairs, and the arrivals,
+deltas, E, V and the final sketch are those of the whole run.
+
 A counter is strictly single-threaded (sequential semantics are the
 whole point) but can be handed off between threads.
 """
@@ -38,6 +50,33 @@ import numpy as np
 
 RESYNC_INTERVAL = 1 << 20
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
+_CHUNK = 8192  # pairs compared with the cell maxima at their chunk's start
+
+
+def may_change(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
+               two_field: bool) -> np.ndarray | None:
+    """Indices, in arrival order, of the pairs that can change a cell of max ``k0``.
+
+    Each chunk of ``_CHUNK`` pairs is compared with its cells' maxima at
+    the chunk start: a pair stays if its rank is at least that max minus
+    one (``two_field``) or above it.  Every pair dropped is a no-op for
+    the cell rule and for :func:`change_deltas` (see the module notes).
+    None means every pair stays: a run of one chunk on cells that drop no
+    rank, as the first run of a fresh sketch often is.
+    """
+    n = len(bucket)
+    slack = -1 if two_field else 1
+    floor = k0 + slack  # per cell, the lowest rank kept; a fresh array
+    if n <= _CHUNK and floor.max() <= 1:  # every rank is at least 1
+        return None
+    keep = [np.zeros(0, dtype=np.intp)]
+    for lo in range(0, n, _CHUNK):
+        b, g = bucket[lo:lo + _CHUNK], geo[lo:lo + _CHUNK]
+        at = np.flatnonzero(g >= floor[b])
+        keep.append(at + lo)
+        if lo + _CHUNK < n:  # a dropped pair cannot raise a max
+            np.maximum.at(floor, b[at], g[at] + slack)
+    return np.concatenate(keep)
 
 
 def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
@@ -96,6 +135,21 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
     return ev_arrival[by_arrival], delta[by_arrival]
 
 
+def _check_block(bucket, geo, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(bucket, geo)`` as int64 arrays, or ValueError if they are no valid block."""
+    bucket, geo = np.asarray(bucket), np.asarray(geo)
+    if bucket.ndim != 1 or geo.ndim != 1 or len(bucket) != len(geo):
+        raise ValueError(f"a block needs 1-D bucket and rank arrays of one length, "
+                         f"got shapes {bucket.shape} and {geo.shape}")
+    if bucket.dtype.kind not in "iu" or geo.dtype.kind not in "iu":
+        raise ValueError(f"a block needs integer arrays, got {bucket.dtype} and {geo.dtype}")
+    if len(bucket) and not (0 <= bucket.min() and bucket.max() < m):
+        raise ValueError(f"buckets must lie in [0, {m})")
+    if len(geo) and not (1 <= geo.min() and geo.max() <= width + 1):
+        raise ValueError(f"ranks must lie in [1, {width + 1}]")
+    return bucket.astype(np.int64, copy=False), geo.astype(np.int64, copy=False)
+
+
 class MartingaleCounter:
     """Running unbiased estimator and retrospective variance over a sketch."""
 
@@ -146,17 +200,30 @@ class MartingaleCounter:
         up to rounding, and exactly equal while its term sum fits a double
         (ranks up to about 40 at m=2^12).
 
+        Only the pairs of a run that :func:`may_change` keeps reach the
+        change scan and the sketch's union; the rest cannot change a cell
+        (a TailCut run compares effective ranks), so the result is that of
+        the whole run.
+
         Resyncs due inside a block happen once at its end.  They cannot
         move a number: a run leaves the term sum exact, and so does every
         TailCut step.
+
+        Raises ValueError unless ``bucket`` and ``geo`` are 1-D integer
+        arrays of one length, with buckets in ``[0, m)`` and ranks in
+        ``[1, width + 1]``.
         """
-        inner, n = self.inner, len(bucket)
+        inner = self.inner
+        bucket, geo = _check_block(bucket, geo, inner.m, inner.width)
+        n = len(bucket)
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for lo, hi, cells in inner._runs(bucket, geo):
-            bu, ge = bucket[lo:hi], geo[lo:hi]
+            keep = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit)
+            kept = slice(lo, hi) if keep is None else keep + lo
+            bu, ge = bucket[kept], geo[kept]
             at, delta = change_deltas(bu, ge, *cells, inner._terms)
             # q before each change: the term sum plus the deltas of the changes before it
-            arrivals.append(at + lo)
+            arrivals.append(at + lo if keep is None else kept[at])
             qs.append((inner._sum + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
             inner._union_batch(bu, ge, *cells)
             if hi < n:  # the cut element: insert()'s scalar step

@@ -268,7 +268,8 @@ class PcsaSketch(_SketchBase):
         return True
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        self.bitmaps.set_ones(bucket * self.L + (geo - 1))
+        if len(bucket):  # set_ones repacks the whole bitmap
+            self.bitmaps.set_ones(bucket * self.L + (geo - 1))
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         """Bitmap estimate; ``asymptotic`` is ignored (``PCSA_PHI`` has no finite-m form)."""

@@ -88,20 +88,24 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
-@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc", "pcsa"])
 def test_empty_batch_reads_and_writes_no_register(kind, monkeypatch):
     s = batched(SKETCHES[kind], stream_u64(2000, 8), 2000, b=10)
-    counter = MartingaleCounter(s.copy())
-    before, q = s.copy(), s.change_probability()
+    before = s.copy()
+    counter = MartingaleCounter(s.copy()) if kind != "pcsa" else None
     io = [count_calls(monkeypatch, cls, name) for cls in (PackedRegisterArray, BitArray)
           for name in ("values", "set_values")]
+    io.append(count_calls(monkeypatch, BitArray, "set_ones"))
     s.insert_batch(np.zeros(0, dtype=np.uint64))
+    if counter is None:
+        assert sum(map(len, io)) == 0 and s == before
+        return
     empty = np.zeros(0, dtype=np.int64)
     out = counter.insert_bg_batch(empty, empty)
     assert sum(map(len, io)) == 0
     assert [len(a) for a in out] == [0, 0, 0]
     for got in (s, counter.inner):
-        assert got == before and got.change_probability() == q
+        assert got == before and got.change_probability() == before.change_probability()
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])

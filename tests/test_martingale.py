@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ehll.martingale
 from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
-from ehll.martingale import MartingaleCounter, change_deltas
+from ehll.martingale import MartingaleCounter, change_deltas, may_change
 from ehll.oracle import derive_cells
 from ehll.serialization import SKETCHES
 from ehll.simulate import SimulationConfig
@@ -159,10 +159,8 @@ def test_auto_resync_fires():
 # ---------------------------------------------------------------------------
 # the change scan
 
-@pytest.mark.parametrize("bits", [True, False])
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_change_deltas_equals_a_shadow_replay(bits, data):
+def _shadow_case(data, bits):
+    """Start cells, pairs, and the arrival and term change of each state change."""
     # start cells (k0, x0) an insert sequence reaches, and ranks near k0, repeated
     m = data.draw(st.sampled_from([1, 2, 3, 16]))
     k0 = data.draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
@@ -185,14 +183,67 @@ def test_change_deltas_equals_a_shadow_replay(bits, data):
             want_delta.append(float(cell_terms(*map(np.array, after))
                                     - cell_terms(*map(np.array, before))))
 
-    at, delta = change_deltas(bucket, geo, np.array(k0, dtype=np.int64),
-                              np.array(x0, dtype=np.int64) if bits else None, cell_terms)
+    x0 = np.array(x0, dtype=np.int64) if bits else None
+    return bucket, geo, np.array(k0, dtype=np.int64), x0, want_at, want_delta
+
+
+@pytest.mark.parametrize("bits", [True, False])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_change_deltas_equals_a_shadow_replay(bits, data):
+    bucket, geo, k0, x0, want_at, want_delta = _shadow_case(data, bits)
+    at, delta = change_deltas(bucket, geo, k0, x0, cell_terms)
     assert at.tolist() == want_at
     assert delta.tolist() == want_delta
 
 
+def _filtered_scan(bucket, geo, k0, x0):
+    """:func:`change_deltas` over the pairs :func:`may_change` keeps, in block indices."""
+    keep = may_change(bucket, geo, k0, x0 is not None)
+    if keep is None:  # every pair stays
+        keep = np.arange(len(bucket))
+    at, delta = change_deltas(bucket[keep], geo[keep], k0, x0, cell_terms)
+    return keep[at], delta
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@pytest.mark.parametrize("bits", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_filtered_scan_equals_a_shadow_replay(bits, chunk, data):
+    # chunks this short put a boundary between most repeats of a cell
+    bucket, geo, k0, x0, want_at, want_delta = _shadow_case(data, bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ehll.martingale, "_CHUNK", chunk)
+        at, delta = _filtered_scan(bucket, geo, k0, x0)
+    assert at.tolist() == want_at
+    assert delta.tolist() == want_delta
+
+
+@pytest.mark.parametrize("kind", ["hll", "ehll"])
+@pytest.mark.parametrize("m", [1024, 1195])
+@pytest.mark.parametrize("start", ["empty", "random"])
+def test_filtered_scan_equals_the_full_scan(kind, m, start):
+    # a campaign-sized run crosses a dozen chunk boundaries
+    bucket, geo = split_hash_array(hash64_u64_array(stream_u64(100_000, m), 0), m)
+    rng = np.random.default_rng(m)
+    k0 = rng.integers(0, 12, size=m) if start == "random" else np.zeros(m, dtype=np.int64)
+    x0 = None
+    if kind == "ehll":
+        x0 = np.where(k0 >= 2, rng.integers(0, 2, size=m), 1)
+    keep = may_change(bucket, geo, k0, x0 is not None)
+    assert len(keep) < len(bucket) // 5
+    full_at, full_delta = change_deltas(bucket, geo, k0, x0, cell_terms)
+    at, delta = _filtered_scan(bucket, geo, k0, x0)
+    assert len(at) > 1000
+    assert (at == full_at).all() and (delta == full_delta).all()
+
+
 # ---------------------------------------------------------------------------
 # block inserts
+
+# the scan's chunk as shipped, and one short enough for blocks of a few thousand pairs
+SCAN_CHUNKS = (ehll.martingale._CHUNK, 61)
 
 def _block_stream(m: int, n: int, seed: int) -> np.ndarray:
     """Distinct elements plus duplicates, opening with ranks that clamp TailCut cells."""
@@ -214,32 +265,36 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
     for m, n, seed in ((16, 3000, 1), (64, 5000, 2), (1024, 4000, 3), (1, 800, 4), (2, 1500, 5)):
         stream = _block_stream(m, n, seed)
         scalar = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
-        block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
         head = 100  # inserted one by one into both
         for v in stream[:head].tolist():
             scalar.insert(v)
-            block.insert(v)
         for v in stream[head:].tolist():
             scalar.insert(v)
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.integers(head, len(stream), size=12))
         bucket, geo = split_hash_array(hash64_u64_array(stream, seed), m)
-        for lo, hi in zip([head, *cuts.tolist()], [*cuts.tolist(), len(stream)]):
-            block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
-        assert block.inner == scalar.inner
-        assert block.updates_since_resync == scalar.updates_since_resync
-        if kind.endswith("-tc"):  # exact term sums: bit-identical
-            assert (block.estimate(), block.retro_variance()) == (
-                scalar.estimate(), scalar.retro_variance())
-        else:
-            assert block.estimate() == pytest.approx(scalar.estimate(), rel=1e-12)
-            assert block.retro_variance() == pytest.approx(scalar.retro_variance(), rel=1e-12)
-        assert block.inner.change_probability() == pytest.approx(
-            scalar.inner.change_probability(), rel=1e-12)
+        for chunk in SCAN_CHUNKS:
+            monkeypatch.setattr(ehll.martingale, "_CHUNK", chunk)
+            block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+            for v in stream[:head].tolist():
+                block.insert(v)
+            for lo, hi in zip([head, *cuts.tolist()], [*cuts.tolist(), len(stream)]):
+                block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
+            assert block.inner == scalar.inner
+            assert block.updates_since_resync == scalar.updates_since_resync
+            if kind.endswith("-tc"):  # exact term sums: bit-identical
+                assert (block.estimate(), block.retro_variance()) == (
+                    scalar.estimate(), scalar.retro_variance())
+            else:
+                assert block.estimate() == pytest.approx(scalar.estimate(), rel=1e-12)
+                assert block.retro_variance() == pytest.approx(scalar.retro_variance(),
+                                                               rel=1e-12)
+            assert block.inner.change_probability() == pytest.approx(
+                scalar.inner.change_probability(), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
-def test_block_insert_returns_the_scalar_trace(kind):
+def test_block_insert_returns_the_scalar_trace(kind, monkeypatch):
     # (arrival, E, V) after each insert() that changes the sketch, over three blocks
     for m, n, seed in ((16, 3000, 1), (1024, 4000, 3), (1, 800, 4)):
         stream = _block_stream(m, n, seed)
@@ -251,19 +306,21 @@ def test_block_insert_returns_the_scalar_trace(kind):
             if scalar.estimate() != before:  # each change adds 1/q >= 1
                 expected.append((i, scalar.estimate(), scalar.retro_variance()))
         bucket, geo = split_hash_array(hash64_u64_array(stream, seed), m)
-        block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
-        got = []
-        bounds = [0, 100, len(stream) // 2, len(stream)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            arrivals, e, v = block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
-            got += zip((arrivals + lo).tolist(), e.tolist(), v.tolist())
-        assert [g[0] for g in got] == [x[0] for x in expected]
-        if kind.endswith("-tc"):  # exact term sums: bit-identical
-            assert got == expected
-        else:
-            for (_, e, v), (_, e_ref, v_ref) in zip(got, expected):
-                assert e == pytest.approx(e_ref, rel=1e-12)
-                assert v == pytest.approx(v_ref, rel=1e-12)
+        for chunk in SCAN_CHUNKS:
+            monkeypatch.setattr(ehll.martingale, "_CHUNK", chunk)
+            block = MartingaleCounter(SKETCHES[kind](m=m, seed=seed))
+            got = []
+            bounds = [0, 100, len(stream) // 2, len(stream)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                arrivals, e, v = block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
+                got += zip((arrivals + lo).tolist(), e.tolist(), v.tolist())
+            assert [g[0] for g in got] == [x[0] for x in expected]
+            if kind.endswith("-tc"):  # exact term sums: bit-identical
+                assert got == expected
+            else:
+                for (_, e, v), (_, e_ref, v_ref) in zip(got, expected):
+                    assert e == pytest.approx(e_ref, rel=1e-12)
+                    assert v == pytest.approx(v_ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
@@ -318,3 +375,34 @@ def test_block_insert_of_nothing_changes_nothing():
         empty = np.zeros(0, dtype=np.int64)
         c.insert_bg_batch(empty, empty)
         assert (c.estimate(), c.retro_variance(), c.inner) == before
+
+
+@pytest.mark.parametrize("bucket, geo", [
+    ([0, 1], [3, 3, 3]),  # a rank without a bucket
+    ([0, 1, 2], [3]),
+    ([-1], [3]),  # below the first bucket
+    ([16], [3]),  # past the last of m = 16
+    ([2], [0]),  # rank 0 is no rank
+    ([2], [62]),  # width 60 at b = 4: ranks end at 61
+    ([[0, 1]], [[3, 3]]),
+    ([0.0], [3]),
+    ([0], [3.0]),
+])
+def test_block_insert_rejects_a_malformed_block(bucket, geo):
+    c = MartingaleCounter(EhllSketch(b=4, seed=1))
+    c.insert_all(stream_u64(50, 8).tolist())
+    before = (c.estimate(), c.retro_variance(), c.inner.copy(), c.updates_since_resync)
+    with pytest.raises(ValueError):
+        c.insert_bg_batch(np.array(bucket), np.array(geo))
+    assert (c.estimate(), c.retro_variance(), c.inner, c.updates_since_resync) == before
+
+
+def test_block_insert_takes_the_edges_of_its_domain():
+    ref = MartingaleCounter(EhllSketch(b=4, seed=1))
+    for j, g in ((0, 1), (15, 61), (15, 60)):
+        ref.insert_bg_batch(np.array([j]), np.array([g]))
+    c = MartingaleCounter(EhllSketch(b=4, seed=1))
+    arrivals, _, _ = c.insert_bg_batch(np.array([0, 15, 15], dtype=np.uint64),
+                                       np.array([1, 61, 60], dtype=np.uint8))
+    assert arrivals.tolist() == [0, 1, 2]
+    assert c.inner == ref.inner and c.estimate() == ref.estimate()
