@@ -54,21 +54,17 @@ _CHUNK = 8192  # pairs compared with the cell maxima at their chunk's start
 
 
 def may_change(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
-               two_field: bool) -> np.ndarray | None:
+               two_field: bool) -> np.ndarray:
     """Indices, in arrival order, of the pairs that can change a cell of max ``k0``.
 
     Each chunk of ``_CHUNK`` pairs is compared with its cells' maxima at
     the chunk start: a pair stays if its rank is at least that max minus
     one (``two_field``) or above it.  Every pair dropped is a no-op for
     the cell rule and for :func:`change_deltas` (see the module notes).
-    None means every pair stays: a run of one chunk on cells that drop no
-    rank, as the first run of a fresh sketch often is.
     """
     n = len(bucket)
     slack = -1 if two_field else 1
     floor = k0 + slack  # per cell, the lowest rank kept; a fresh array
-    if n <= _CHUNK and floor.max() <= 1:  # every rank is at least 1
-        return None
     keep = [np.zeros(0, dtype=np.intp)]
     for lo in range(0, n, _CHUNK):
         b, g = bucket[lo:lo + _CHUNK], geo[lo:lo + _CHUNK]
@@ -218,12 +214,11 @@ class MartingaleCounter:
         n = len(bucket)
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for lo, hi, cells in inner._runs(bucket, geo):
-            keep = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit)
-            kept = slice(lo, hi) if keep is None else keep + lo
+            kept = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit) + lo
             bu, ge = bucket[kept], geo[kept]
             at, delta = change_deltas(bu, ge, *cells, inner._terms)
             # q before each change: the term sum plus the deltas of the changes before it
-            arrivals.append(at + lo if keep is None else kept[at])
+            arrivals.append(kept[at])
             qs.append((inner._sum + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
             inner._union_batch(bu, ge, *cells)
             if hi < n:  # the cut element: insert()'s scalar step

@@ -200,8 +200,6 @@ def test_change_deltas_equals_a_shadow_replay(bits, data):
 def _filtered_scan(bucket, geo, k0, x0):
     """:func:`change_deltas` over the pairs :func:`may_change` keeps, in block indices."""
     keep = may_change(bucket, geo, k0, x0 is not None)
-    if keep is None:  # every pair stays
-        keep = np.arange(len(bucket))
     at, delta = change_deltas(bucket[keep], geo[keep], k0, x0, cell_terms)
     return keep[at], delta
 
