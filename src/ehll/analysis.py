@@ -39,6 +39,8 @@ LN2 = math.log(2.0)
 PCSA_PHI = 0.77351
 PCSA_RELERR = 0.78
 
+_EPSABS, _EPSREL = 1e-12, 1e-10  # power_integrals' tolerances (absolute per unit of m)
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to meet its tolerance."""
@@ -75,8 +77,7 @@ def _integrand(kernel: Callable[[float], float], m: int, p: int) -> Callable[[fl
     return integrand
 
 
-def power_integrals(kernel: Callable[[float], float], m: int,
-                    epsabs: float = 1e-12, epsrel: float = 1e-10) -> tuple[float, float]:
+def power_integrals(kernel: Callable[[float], float], m: int) -> tuple[float, float]:
     """``(I0, I1)`` where ``Ip = int_0^inf u^p kernel(u)^m du``.
 
     The integral is rescaled by ``u = s/m`` (the kernel falls off like
@@ -98,12 +99,12 @@ def power_integrals(kernel: Callable[[float], float], m: int,
                          "(I0 diverges at m = 1, I1 at m = 2)")
     results = []
     for p in (0, 1):
-        est, err, _, ier = qags(_integrand(kernel, m, p), 0.0, 1.0, epsabs=epsabs * m,
-                                epsrel=epsrel * 0.1, limit=200)
+        est, err, _, ier = qags(_integrand(kernel, m, p), 0.0, 1.0, epsabs=_EPSABS * m,
+                                epsrel=_EPSREL * 0.1, limit=200)
         if ier:
             raise QuadratureError(
                 f"power integral p={p}, m={m} did not converge: {MESSAGES[ier]}")
-        if err > max(epsabs * m, abs(est) * epsrel):
+        if err > max(_EPSABS * m, abs(est) * _EPSREL):
             raise QuadratureError(
                 f"power integral p={p}, m={m}: error estimate {err:.3e} above tolerance")
         results.append(est)

@@ -121,6 +121,19 @@ def hash64_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
 _BYTE_MASKS = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
 
 
+def check_int_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` as int64 arrays; ValueError unless 1-D integer arrays of one length.
+
+    A uint64 past ``2**63 - 1`` comes back negative, for the caller's range check to refuse.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
+        raise ValueError(f"{what} need 1-D arrays of one length, got {a.shape} and {b.shape}")
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise ValueError(f"{what} need integer arrays, got {a.dtype} and {b.dtype}")
+    return a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+
+
 def hash64_tokens(buf, starts: np.ndarray, ends: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorized :func:`hash64` of the byte tokens ``buf[starts[i]:ends[i]]``.
 
@@ -130,15 +143,21 @@ def hash64_tokens(buf, starts: np.ndarray, ends: np.ndarray, seed: int = 0) -> n
     longest first, which makes the tokens still active in a round a
     prefix.  The last block of a token is masked to its length, which
     is the zero padding of :func:`hash64`.
+
+    Raises ValueError unless ``starts`` and ``ends`` are 1-D integer
+    arrays of one length with ``0 <= starts[i] <= ends[i] <= len(buf)``.
     """
     data = np.frombuffer(buf, dtype=np.uint8)
+    starts, ends = check_int_pair(starts, ends, "token bounds")
+    lens = ends - starts
+    if len(lens) and not (starts.min() >= 0 and lens.min() >= 0 and ends.max() <= len(data)):
+        raise ValueError(f"token bounds must satisfy 0 <= start <= end <= {len(data)}")
     padded = np.zeros(len(data) + 8, dtype=np.uint8)  # the last word may read past the end
     padded[:len(data)] = data
     # the little-endian word starting at every byte offset, as an unaligned view
     words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
-    lens = np.asarray(ends, dtype=np.int64) - np.asarray(starts, dtype=np.int64)
     order = np.argsort(-lens, kind="stable")
-    pos = np.asarray(starts, dtype=np.int64)[order]
+    pos = starts[order]
     left = lens[order]
     # active[r]: how many tokens (a prefix of ``order``) have a block r
     rounds = (int(left[0]) + 7) // 8 if len(left) else 0

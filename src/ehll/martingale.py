@@ -13,9 +13,10 @@ The running estimate is strictly order-dependent and there is
 deliberately no merge operation: the information being exploited is the
 sequence of sketch states, which a union of sketches does not retain.
 
-The wrapped sketch maintains its change-probability sum incrementally;
-to bound floating drift the sum is recomputed exactly from the registers
-every ``2**20`` updates (and on demand via :meth:`resync`).
+The wrapped sketch alone keeps its change-probability sum accurate (a
+compensated sum over scalar steps, an exact one after batch writes); the
+counter holds E and V, and :meth:`MartingaleCounter.resync` only
+recomputes the sum on demand.
 
 Blocks of elements go in at once (:meth:`MartingaleCounter.insert_bg_batch`)
 along the runs the sketch cuts a block into (one run for the order-free
@@ -48,7 +49,8 @@ import math
 
 import numpy as np
 
-RESYNC_INTERVAL = 1 << 20
+from .hashing import check_int_pair
+
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
 _CHUNK = 8192  # pairs compared with the cell maxima at their chunk's start
 
@@ -131,25 +133,10 @@ def change_deltas(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
     return ev_arrival[by_arrival], delta[by_arrival]
 
 
-def _check_block(bucket, geo, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(bucket, geo)`` as int64 arrays, or ValueError if they are no valid block."""
-    bucket, geo = np.asarray(bucket), np.asarray(geo)
-    if bucket.ndim != 1 or geo.ndim != 1 or len(bucket) != len(geo):
-        raise ValueError(f"a block needs 1-D bucket and rank arrays of one length, "
-                         f"got shapes {bucket.shape} and {geo.shape}")
-    if bucket.dtype.kind not in "iu" or geo.dtype.kind not in "iu":
-        raise ValueError(f"a block needs integer arrays, got {bucket.dtype} and {geo.dtype}")
-    if len(bucket) and not (0 <= bucket.min() and bucket.max() < m):
-        raise ValueError(f"buckets must lie in [0, {m})")
-    if len(geo) and not (1 <= geo.min() and geo.max() <= width + 1):
-        raise ValueError(f"ranks must lie in [1, {width + 1}]")
-    return bucket.astype(np.int64, copy=False), geo.astype(np.int64, copy=False)
-
-
 class MartingaleCounter:
     """Running unbiased estimator and retrospective variance over a sketch."""
 
-    __slots__ = ("inner", "estimate_value", "retro_var", "updates_since_resync")
+    __slots__ = ("inner", "estimate_value", "retro_var")
 
     def __init__(self, inner):
         if not hasattr(inner, "change_probability"):
@@ -158,16 +145,12 @@ class MartingaleCounter:
         self.inner = inner
         self.estimate_value = 0.0
         self.retro_var = 0.0
-        self.updates_since_resync = 0
 
     def insert(self, element) -> None:
         q = self.inner.change_probability()
         if self.inner.insert(element):
             self.estimate_value += 1.0 / q
             self.retro_var += (1.0 - q) / (q * q)
-        self.updates_since_resync += 1
-        if self.updates_since_resync >= RESYNC_INTERVAL:
-            self.resync()
 
     def insert_all(self, elements) -> None:
         for e in elements:
@@ -186,32 +169,31 @@ class MartingaleCounter:
 
         E, V and the inner sketch end as after :meth:`insert` of each
         element in turn.  The block goes along the sketch's runs: a run's
-        ``q`` come from a plain running sum where the scalar path keeps a
-        compensated one, and the element at a cut takes the scalar step.
-        E and V add the increments of all changes in arrival order, as
-        :meth:`insert` does.  A TailCut term sum is always exact, since
-        every term is a multiple of ``2^-(base+15)`` and the sum is below
-        ``3 m 2^-base``, so its block inserts are bit-identical however
-        the stream is split into blocks.  An order-free sketch's are equal
-        up to rounding, and exactly equal while its term sum fits a double
-        (ranks up to about 40 at m=2^12).
+        ``q`` come from a plain running sum over the term sum the sketch
+        keeps, and the element at a cut takes the scalar step.  E and V
+        add the increments of all changes in arrival order, as
+        :meth:`insert` does.  So block inserts are bit-identical to
+        :meth:`insert` whenever the term sum is exact.  That holds always
+        for TailCut, since every term is a multiple of ``2^-(base+15)``
+        and the sum is below ``3 m 2^-base``, and for the order-free
+        kinds while ranks stay below about 40 at m=2^12; past that the
+        two agree up to rounding.
 
         Only the pairs of a run that :func:`may_change` keeps reach the
         change scan and the sketch's union; the rest cannot change a cell
         (a TailCut run compares effective ranks), so the result is that of
         the whole run.
 
-        Resyncs due inside a block happen once at its end.  They cannot
-        move a number: a run leaves the term sum exact, and so does every
-        TailCut step.
-
         Raises ValueError unless ``bucket`` and ``geo`` are 1-D integer
         arrays of one length, with buckets in ``[0, m)`` and ranks in
         ``[1, width + 1]``.
         """
         inner = self.inner
-        bucket, geo = _check_block(bucket, geo, inner.m, inner.width)
-        n = len(bucket)
+        bucket, geo = check_int_pair(bucket, geo, "a block's buckets and ranks")
+        if len(bucket) and not (0 <= bucket.min() and bucket.max() < inner.m):
+            raise ValueError(f"buckets must lie in [0, {inner.m})")
+        if len(geo) and not (1 <= geo.min() and geo.max() <= inner.width + 1):
+            raise ValueError(f"ranks must lie in [1, {inner.width + 1}]")
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for lo, hi, cells in inner._runs(bucket, geo):
             kept = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit) + lo
@@ -221,7 +203,7 @@ class MartingaleCounter:
             arrivals.append(kept[at])
             qs.append((inner._sum + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
             inner._union_batch(bu, ge, *cells)
-            if hi < n:  # the cut element: insert()'s scalar step
+            if hi < len(bucket):  # the cut element: insert()'s scalar step
                 q = inner.change_probability()
                 if inner._insert_bg(int(bucket[hi]), int(geo[hi])):
                     arrivals.append([hi])
@@ -231,10 +213,6 @@ class MartingaleCounter:
         e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()
         v = np.concatenate(([self.retro_var], (1.0 - q) / (q * q))).cumsum()
         self.estimate_value, self.retro_var = float(e[-1]), float(v[-1])
-        u = self.updates_since_resync + n
-        if u >= RESYNC_INTERVAL:
-            self.resync()
-        self.updates_since_resync = u % RESYNC_INTERVAL
         return np.concatenate(arrivals), e[1:], v[1:]
 
     def estimate(self) -> float:
@@ -248,6 +226,5 @@ class MartingaleCounter:
         return math.sqrt(self.retro_var)
 
     def resync(self) -> None:
-        """Exactly recompute the inner change-probability sum; E and V untouched."""
+        """Exactly recompute the inner change-probability sum on demand; E and V untouched."""
         self.inner.resync_term_sum()
-        self.updates_since_resync = 0

@@ -75,6 +75,8 @@ class SimulationConfig:
             raise ValueError("n must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.kinds:
+            raise ValueError("a campaign needs at least one sketch kind")
         for kind in self.kinds:
             if kind not in SKETCHES:
                 raise ValueError(f"unknown sketch kind {kind!r}")

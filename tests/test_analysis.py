@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ehll import analysis
 from ehll.analysis import (
     LN2,
     QuadratureError,
@@ -70,17 +71,21 @@ def test_integrals_match_asymptotics_at_1024():
     assert abs(i1 - a1) / a1 < 1e-4
 
 
-def test_quadrature_self_consistency():
+def test_quadrature_self_consistency(monkeypatch):
     i0, i1 = power_integrals(ehll_kernel, 256)
-    j0, j1 = power_integrals(ehll_kernel, 256, epsabs=5e-13, epsrel=5e-11)
+    monkeypatch.setattr(analysis, "_EPSABS", 5e-13)
+    monkeypatch.setattr(analysis, "_EPSREL", 5e-11)
+    j0, j1 = power_integrals(ehll_kernel, 256)
     assert abs(i0 - j0) <= 1e-10 * abs(i0)
     assert abs(i1 - j1) <= 1e-10 * abs(i1)
 
 
-def test_quadrature_reports_nonconvergence():
+def test_quadrature_reports_nonconvergence(monkeypatch):
     # an unmeetable tolerance must raise, not silently return garbage
+    monkeypatch.setattr(analysis, "_EPSABS", 1e-300)
+    monkeypatch.setattr(analysis, "_EPSREL", 1e-300)
     with pytest.raises(QuadratureError):
-        power_integrals(ehll_kernel, 64, epsabs=1e-300, epsrel=1e-300)
+        power_integrals(ehll_kernel, 64)
 
 
 def test_gamma_beta_limits():

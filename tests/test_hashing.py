@@ -19,6 +19,8 @@ from ehll.hashing import (
     split_hash_array,
     stream_u64,
 )
+from ehll.martingale import MartingaleCounter
+from ehll.sketches import EhllSketch
 
 
 def test_hash_deterministic():
@@ -80,6 +82,46 @@ def test_hash64_tokens_examples():
     assert hash64_tokens(buf, starts, ends, 7).tolist() == [hash64(t, 7) for t in tokens]
     empty = hash64_tokens(b"", np.zeros(0, np.int64), np.zeros(0, np.int64))
     assert empty.shape == (0,) and empty.dtype == np.uint64
+
+
+_BUF17 = bytes(range(97, 114))
+
+# (starts, ends) that name no token of the 17-byte ``_BUF17``
+_BAD_BOUNDS = {
+    "end before start": ([6], [2]),
+    "lengths differ": ([6, 0], [2]),
+    "negative start": ([-3], [2]),
+    "end in the padding": ([11], [19]),
+    "end past the padding": ([0], [40]),
+    "wrapped uint64": (np.array([2**63], np.uint64), np.array([2**64 - 1], np.uint64)),
+    "2-D": ([[0]], [[2]]),
+    "float bounds": ([0.0], [2]),
+}
+
+
+@pytest.mark.parametrize("starts, ends", _BAD_BOUNDS.values(), ids=_BAD_BOUNDS.keys())
+def test_token_bounds_outside_the_buffer_are_refused(starts, ends):
+    starts, ends = np.asarray(starts), np.asarray(ends)
+    with pytest.raises(ValueError):
+        hash64_tokens(_BUF17, starts, ends)
+    sketch = EhllSketch(b=4, seed=1)
+    sketch.insert_all([b"a", b"bc"])
+    counter = MartingaleCounter(sketch.copy())
+    before = (sketch.copy(), sketch.change_probability(), counter.estimate(),
+              counter.retro_variance())
+    with pytest.raises(ValueError):
+        sketch.insert_tokens(_BUF17, starts, ends)
+    with pytest.raises(ValueError):
+        counter.insert_tokens(_BUF17, starts, ends)
+    assert (sketch, sketch.change_probability(), counter.estimate(),
+            counter.retro_variance()) == before
+    assert counter.inner == sketch
+
+
+def test_token_bounds_at_the_buffer_edges():
+    starts, ends = np.array([0, 0, 17, 5]), np.array([17, 0, 17, 5])
+    assert hash64_tokens(_BUF17, starts, ends, 3).tolist() == [
+        hash64(_BUF17, 3), hash64(b"", 3), hash64(b"", 3), hash64(b"", 3)]
 
 
 def test_seed_separation():

@@ -118,8 +118,7 @@ def test_resync_is_invisible():
     q_before = c.inner.change_probability()
     c.resync()
     assert c.estimate() == e and c.retro_variance() == v
-    assert c.inner.change_probability() == pytest.approx(q_before, rel=1e-12)
-    assert c.updates_since_resync == 0
+    assert c.inner.change_probability() == q_before
 
 
 def test_incremental_sum_drift_is_negligible():
@@ -127,7 +126,6 @@ def test_incremental_sum_drift_is_negligible():
     # change-probability sum still matches an exact recompute
     c = MartingaleCounter(HllSketch(b=4, seed=4))
     c.insert_all(stream_u64(300_000, 123).tolist())
-    assert c.updates_since_resync == 300_000  # below the auto threshold
     incremental = c.inner.change_probability()
     c.inner.resync_term_sum()
     exact = c.inner.change_probability()
@@ -147,13 +145,6 @@ def test_incremental_sum_drift_ten_million():
     c.inner.resync_term_sum()
     exact = c.inner.change_probability()
     assert abs(incremental - exact) <= 1e-9 * exact
-
-
-def test_auto_resync_fires():
-    c = MartingaleCounter(HllSketch(b=4))
-    c.updates_since_resync = (1 << 20) - 1
-    c.insert(b"tick")
-    assert c.updates_since_resync == 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +245,8 @@ def _block_stream(m: int, n: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
-@pytest.mark.parametrize("resync", [None, 37])
-def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
+def test_block_inserts_equal_scalar_inserts(kind, monkeypatch):
     # random blocks, starting from a non-empty sketch, against insert() one by one
-    if resync:
-        monkeypatch.setattr(ehll.martingale, "RESYNC_INTERVAL", resync)
     # at m = 1, 2 and 16 a TailCut base promotion lands inside almost every block
     for m, n, seed in ((16, 3000, 1), (64, 5000, 2), (1024, 4000, 3), (1, 800, 4), (2, 1500, 5)):
         stream = _block_stream(m, n, seed)
@@ -279,16 +267,10 @@ def test_block_inserts_equal_scalar_inserts(kind, resync, monkeypatch):
             for lo, hi in zip([head, *cuts.tolist()], [*cuts.tolist(), len(stream)]):
                 block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
             assert block.inner == scalar.inner
-            assert block.updates_since_resync == scalar.updates_since_resync
-            if kind.endswith("-tc"):  # exact term sums: bit-identical
-                assert (block.estimate(), block.retro_variance()) == (
-                    scalar.estimate(), scalar.retro_variance())
-            else:
-                assert block.estimate() == pytest.approx(scalar.estimate(), rel=1e-12)
-                assert block.retro_variance() == pytest.approx(scalar.retro_variance(),
-                                                               rel=1e-12)
-            assert block.inner.change_probability() == pytest.approx(
-                scalar.inner.change_probability(), rel=1e-12)
+            # ranks stay below 40, so every term sum is exact: bit-identical
+            assert (block.estimate(), block.retro_variance()) == (
+                scalar.estimate(), scalar.retro_variance())
+            assert block.inner.change_probability() == scalar.inner.change_probability()
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
@@ -312,13 +294,7 @@ def test_block_insert_returns_the_scalar_trace(kind, monkeypatch):
             for lo, hi in zip(bounds, bounds[1:]):
                 arrivals, e, v = block.insert_bg_batch(bucket[lo:hi], geo[lo:hi])
                 got += zip((arrivals + lo).tolist(), e.tolist(), v.tolist())
-            assert [g[0] for g in got] == [x[0] for x in expected]
-            if kind.endswith("-tc"):  # exact term sums: bit-identical
-                assert got == expected
-            else:
-                for (_, e, v), (_, e_ref, v_ref) in zip(got, expected):
-                    assert e == pytest.approx(e_ref, rel=1e-12)
-                    assert v == pytest.approx(v_ref, rel=1e-12)
+            assert got == expected  # exact term sums (ranks below 40): bit-identical
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
@@ -389,10 +365,10 @@ def test_block_insert_of_nothing_changes_nothing():
 def test_block_insert_rejects_a_malformed_block(bucket, geo):
     c = MartingaleCounter(EhllSketch(b=4, seed=1))
     c.insert_all(stream_u64(50, 8).tolist())
-    before = (c.estimate(), c.retro_variance(), c.inner.copy(), c.updates_since_resync)
+    before = (c.estimate(), c.retro_variance(), c.inner.copy())
     with pytest.raises(ValueError):
         c.insert_bg_batch(np.array(bucket), np.array(geo))
-    assert (c.estimate(), c.retro_variance(), c.inner, c.updates_since_resync) == before
+    assert (c.estimate(), c.retro_variance(), c.inner) == before
 
 
 def test_block_insert_takes_the_edges_of_its_domain():

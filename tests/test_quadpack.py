@@ -41,7 +41,7 @@ def test_power_integrands_match_scipy_bit_for_bit(kernel, p, monkeypatch):
     for m in POWER_MS:
         f = _integrand(kernel, m, p)
         # the tolerances power_integrals passes
-        args = (0.0, 1.0, 1e-12 * m, 1e-10 * 0.1, 200)
+        args = (0.0, 1.0, analysis._EPSABS * m, analysis._EPSREL * 0.1, 200)
         assert tuple(quadpack.qags(f, *args)) == scipy_qags(f, *args), m
     assert len(extrapolations) > 500  # the epsilon algorithm is exercised
 

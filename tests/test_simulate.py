@@ -31,6 +31,8 @@ def test_config_validation():
         SimulationConfig(kinds=("hll",), checkpoints=0)
     with pytest.raises(ValueError, match="given more than once"):
         SimulationConfig(kinds=("ehll", "hll", "ehll"))
+    with pytest.raises(ValueError, match="at least one sketch kind"):
+        SimulationConfig(kinds=())
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             SimulationConfig(kinds=("hll",), workers=workers)
