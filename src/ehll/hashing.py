@@ -78,7 +78,7 @@ def _canonical_bytes(element) -> bytes:
         return bytes(element)
     if isinstance(element, str):
         return element.encode("utf-8")
-    if isinstance(element, (int, np.integer)):
+    if isinstance(element, (int, np.integer)) and not isinstance(element, bool):
         return (int(element) & MASK64).to_bytes(8, "little")
     raise TypeError(f"cannot hash element of type {type(element).__name__}")
 
@@ -93,7 +93,8 @@ def hash64(element, seed: int = 0) -> int:
     Elements hash as their canonical bytes, so these are one element
     each: a ``str`` and its UTF-8 encoding (``"abc"`` and ``b"abc"``),
     an int and its 8-byte little-endian form (taken modulo 2**64), and
-    ``bytes``/``bytearray``/``memoryview`` of equal content.
+    ``bytes``/``bytearray``/``memoryview`` of equal content.  A ``bool``
+    is refused like ``np.bool_``, not hashed as the int 0 or 1.
     """
     data = _canonical_bytes(element)
     state = mix64((seed ^ _SEED_TWEAK) & MASK64)

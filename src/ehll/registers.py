@@ -8,6 +8,10 @@ real if the buffer is exactly ``ceil(m * width / 8)`` bytes.
 
 Scalar get/set serve the per-element insert path; ``values()`` /
 ``set_values()`` unpack and repack the whole array for the batch paths.
+A rank sketch keeps the cells of its last full write, so ``values()``
+runs on a file load and on the first read after a scalar change, not
+once per batch or estimate; ``set_values()`` still runs on every full
+write.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
 whole-array codec reads each group of eight as one little-endian 64-bit
 word and shifts register ``i`` of the group by ``i * width``: one

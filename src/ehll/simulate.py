@@ -14,14 +14,18 @@ for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
 Trials are vectorized: each trial feeds the production sketch one stream
 segment per checkpoint through the batch path, whose cost is linear in
-the segment plus the register count.  A martingale trial feeds its whole
-stream to a :class:`~ehll.martingale.MartingaleCounter` as one block,
-which returns E and V after each state change (a few thousand per
-trial), and reads the checkpoints off that trace; the counter's block
-path is tested against the element-at-a-time counter.  The block path
-scans and unions only the pairs that can change a cell (a rank not
-below its cell's max at the start of an 8,192-pair chunk, less one
-with neighbor bits), a sixth to a tenth of the pairs at n = 10^5.
+the segment plus the register count.  A checkpoint decodes no register:
+the batch and the estimate after it start from the cells the last batch
+kept, so a trial decodes each packed array once (a TailCut trial once
+more after each scalar step its batches take).  A martingale trial
+feeds its whole stream to a :class:`~ehll.martingale.MartingaleCounter`
+as one block, which returns E and V after each state change (a few
+thousand per trial), and reads the checkpoints off that trace; the
+counter's block path is tested against the element-at-a-time counter.
+The block path scans and unions only the pairs that can change a cell
+(a rank not below its cell's max at the start of an 8,192-pair chunk,
+less one with neighbor bits), a sixth to a tenth of the pairs at
+n = 10^5.
 
 A trial's stream, hashes and (bucket, rank) pairs come from the in-place
 array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived

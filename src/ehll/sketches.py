@@ -23,11 +23,14 @@ storage codec: plain 6-bit ranks here, a shared base plus 4-bit offsets
 in :mod:`ehll.tailcut`.
 
 Each sketch maintains a compensated running sum of its per-cell
-change-probability terms so ``change_probability()`` is O(1); the
-indicator methods recompute the exact sum from the registers.
+change-probability terms so ``change_probability()`` is O(1).  After a
+full write a sketch keeps the cells it wrote until its next scalar change
+(see :class:`_RankSketch`); its indicator and estimate read them, equal
+to a recompute from the registers without decoding them.
 
 Sketches are single-writer; merging immutable snapshots from several
-threads is fine since ``merge`` never mutates its operands.
+threads is fine since ``merge`` never mutates its operands: it only
+reads their cells, kept or decoded, and never keeps what it decodes.
 """
 
 from __future__ import annotations
@@ -118,7 +121,13 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
     Max-rank cells (``x`` is None) and two-field cells take their
     :func:`bias_constant`.
     """
-    raw = bias_constant(m, x is not None, asymptotic) * m * m * cell_indicator(k, x)
+    return _estimate(m, k, x, float(cell_terms(k, x).sum()), asymptotic)
+
+
+def _estimate(m: int, k: np.ndarray, x: np.ndarray | None, total: float,
+              asymptotic: bool) -> RawEstimate:
+    """:func:`estimate_cells` of cells whose :func:`cell_terms` sum to ``total``."""
+    raw = bias_constant(m, x is not None, asymptotic) * m * m * (1.0 / total)
     if raw < LC_THRESHOLD * m:
         v = int(np.count_nonzero(np.asarray(k) == 0))
         if v > 0:
@@ -287,13 +296,23 @@ class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
     A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
-    (one cell), ``effective_values`` (reads all cells) and ``_set_ranks``
+    (one cell), ``effective_values`` (decodes all cells) and ``_set_ranks``
     (stores them), and may refine ``_clamp``, ``_term``/``_terms``,
-    ``_after_insert``, ``_derive``, ``_load``, ``_run_end`` and ``_loaded``.
-    Neighbor bits live in ``bits``.  State computed from the cells (the term
-    sum, TailCut's ``_zero_offsets``) moves only incrementally in the scalar
-    step and exactly in ``_derive``, which ``_store`` calls after every full
-    write and ``_loaded``/``resync_term_sum`` after a read.
+    ``_after_insert``, ``_derive``, ``_load``, ``_run_end``, ``_loaded`` and
+    ``_cells_and_sum``.  Neighbor bits live in ``bits``.  State computed
+    from the cells (the term sum, TailCut's ``_zero_offsets``) moves only
+    incrementally in the scalar step and exactly in ``_derive``, which
+    ``_store`` calls after every full write and ``_loaded``/``resync_term_sum``
+    after a decode.
+
+    ``_derive`` also keeps its cells ``(k, x)``, read-only, in ``_kept``
+    until a scalar change drops them; ``_cells`` returns them, else a
+    decode, so a batch run or estimate after a full write decodes nothing.
+    The packed arrays, still written on every full write, remain the only
+    state ``serialize``, ``==``, ``copy`` and ``memory_bits`` see (``copy``
+    shares the read-only kept arrays).  Here ``_terms`` is
+    :func:`cell_terms`, so the kept term sum is the estimator's sum, bit for
+    bit; a codec whose ``_terms`` differ overrides ``_cells_and_sum``.
     """
 
     neighbor_bit = False
@@ -305,6 +324,7 @@ class _RankSketch(_SketchBase):
             self.bits = BitArray(self.m, fill=1)
         # running sum of the cell terms, Kahan-compensated by _sum_err
         self._sum, self._sum_err = float(self.m), 0.0
+        self._kept = None  # the cells of the last _derive, until a scalar change
 
     # -- plain codec --------------------------------------------------------
 
@@ -338,8 +358,20 @@ class _RankSketch(_SketchBase):
 
     # -- the rule -----------------------------------------------------------
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _decode(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every cell, read from the packed arrays."""
         return self.effective_values(), (self.bits.values() if self.neighbor_bit else None)
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every cell: the kept ones, else a decode (which is not kept)."""
+        return self._decode() if self._kept is None else self._kept
+
+    def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
+        """Every cell and the sum of its :func:`cell_terms`: the kept term sum, if kept."""
+        if self._kept is None:
+            k, x = self._decode()
+            return k, x, float(cell_terms(k, x).sum())
+        return (*self._kept, self._sum)
 
     def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
         self._set_ranks(k)
@@ -366,6 +398,7 @@ class _RankSketch(_SketchBase):
         if new_k == k and new_x == x:
             return False  # a saturated cell cannot move further
         old_term = self._term(k, x)
+        self._kept = None
         self._set_rank(bucket, new_k)
         if self.neighbor_bit:
             self.bits.set(bucket, new_x)
@@ -412,7 +445,7 @@ class _RankSketch(_SketchBase):
         self._store(*self._union(k0, x0, k, x))
 
     def _loaded(self) -> bool:
-        k, x = self._cells()
+        k, x = self._decode()
         bad = k > self.width + 1
         if x is not None:
             bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
@@ -423,23 +456,34 @@ class _RankSketch(_SketchBase):
 
     def indicator(self) -> float:
         """Harmonic indicator: inverse sum of the per-cell terms."""
-        return cell_indicator(*self._cells())
+        return 1.0 / self._cells_and_sum()[2]
 
     def change_probability(self) -> float:
         """Probability that inserting a new distinct element changes the sketch."""
         return self._sum / self.m
 
     def resync_term_sum(self) -> None:
-        """Recompute the running change-probability sum exactly from the cells."""
-        self._derive(*self._cells())
+        """Recompute the change-probability sum and the kept cells from the packed arrays.
+
+        Call it after writing ``ranks``, ``bits`` or ``offsets`` directly:
+        batch runs and estimates read the kept cells, which such a write
+        does not reach.
+        """
+        self._derive(*self._decode())
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Rebuild the state computed from all cells ``(k, x)``: the exact term sum."""
+        """Rebuild the state computed from all cells ``(k, x)``: the exact term sum.
+
+        Keeps the cells, read-only, for the next batch run and estimate.
+        """
+        for a in (k, x):
+            if a is not None:
+                a.setflags(write=False)
+        self._kept = k, x
         self._sum, self._sum_err = float(self._terms(k, x).sum()), 0.0
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        k, x = self._cells()
-        return estimate_cells(self.m, k, x, asymptotic)
+        return _estimate(self.m, *self._cells_and_sum(), asymptotic)
 
     def merge(self, other):
         self._check_mergeable(other)

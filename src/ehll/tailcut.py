@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .registers import PackedRegisterArray
-from .sketches import _RankSketch, _SketchBase
+from .sketches import _RankSketch, _SketchBase, cell_terms
 
 OFFSET_WIDTH = 4
 OFFSET_MAX = (1 << OFFSET_WIDTH) - 1
@@ -94,6 +94,10 @@ class _TailCutBase(_RankSketch):
             ks = k[sat].astype(float)
             terms[sat] = np.where(x[sat] == 1, np.exp2(-ks), np.exp2(-(ks - 1)))
         return terms
+
+    def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
+        k, x = self._cells()  # the estimator counts a saturated cell at its full term
+        return k, x, float(cell_terms(k, x).sum())
 
     def _after_insert(self, k: int, new_k: int) -> None:
         if k == self.base and new_k > k:

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
 from ehll.martingale import MartingaleCounter
 from ehll.oracle import derive_cells, shadow_from_stream
 from ehll.registers import BitArray, PackedRegisterArray
 from ehll.serialization import SKETCHES, deserialize, serialize
+from ehll.sketches import cell_indicator, estimate_cells
 from ehll.tailcut import OFFSET_MAX, _TailCutBase
 
 KINDS = tuple(SKETCHES)
@@ -200,7 +201,10 @@ class SketchMachine(RuleBasedStateMachine):
     Order-free kinds are checked against the oracle cells of everything
     inserted or merged in; TailCut kinds against a twin that takes every
     element through scalar ``insert`` and merges the scalar twin of each
-    merged sketch.
+    merged sketch.  The cells a rank sketch keeps from its last full
+    write, and the estimate and indicator read from them, must equal a
+    fresh decode of the packed arrays, and a copy's insert must leave the
+    original's cells alone.
     """
 
     kind = ""
@@ -251,6 +255,39 @@ class SketchMachine(RuleBasedStateMachine):
     @rule()
     def round_trip(self):
         self.sketch = deserialize(serialize(self.sketch))
+
+    def _state(self):
+        """Copies of the cell arrays a reader sees, and the estimate."""
+        s = self.sketch
+        cells = (s.bitmaps.values(),) if self.kind == "pcsa" else s._cells()
+        return [a.copy() for a in cells if a is not None], s.estimate().value
+
+    @rule(e=elements)
+    def copy_then_insert(self, e):
+        cells, est = self._state()
+        self.sketch.copy().insert(e)
+        after, after_est = self._state()
+        assert all(map(np.array_equal, cells, after)) and after_est == est
+
+    @precondition(lambda self: self.kind != "pcsa")
+    @rule()
+    def resync(self):
+        self.sketch.resync_term_sum()
+
+    @invariant()
+    def kept_cells_match_the_packed_arrays(self):
+        s = self.sketch
+        if self.kind == "pcsa":
+            return
+        fresh = (s.effective_values(), s.bits.values() if s.neighbor_bit else None)
+        k, x = s._cells()
+        assert np.array_equal(k, fresh[0])
+        assert (x is None) if fresh[1] is None else np.array_equal(x, fresh[1])
+        assert s.estimate().value == estimate_cells(s.m, *fresh).value
+        assert s.indicator() == cell_indicator(*fresh)
+        for kept in [a for a in s._kept or () if a is not None]:
+            with pytest.raises(ValueError):  # read-only: no write splits them from the bytes
+                kept[:1] = 0
 
     @invariant()
     def matches_reference(self):

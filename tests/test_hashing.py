@@ -35,6 +35,10 @@ def test_hash_canonical_encodings():
     assert hash64(bytearray(b"xy")) == hash64(b"xy")
     with pytest.raises(TypeError):
         hash64(3.14)
+    with pytest.raises(TypeError):
+        hash64(True)  # not the int 1, whose hash it would share
+    with pytest.raises(TypeError):
+        EhllSketch(b=4).insert(True)
 
 
 def test_hash_array_matches_scalar():

@@ -1,5 +1,7 @@
 """Simulation harness: vectorized paths vs reference sketches, determinism."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,37 @@ def test_run_trial_matches_reference_sketch(kind):
         prev = pos
         expected.append(ref.estimate().value)
     assert np.allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
+def test_matched_trial_decodes_each_array_once(kind, monkeypatch):
+    """Checkpoints read the cells the last batch kept, not a decode each.
+
+    A TailCut run walker's scalar step drops the kept cells, so each state
+    change it makes may cost one more decode; the plain kinds make none.
+    """
+    from ehll.registers import BitArray, PackedRegisterArray
+    from ehll.serialization import SKETCHES
+
+    decodes, changes = Counter(), []
+    for cls in (PackedRegisterArray, BitArray):
+        monkeypatch.setattr(cls, "values", lambda self, f=vars(cls)["values"]:
+                            decodes.update([id(self)]) or f(self))
+    cls = SKETCHES[kind]
+    step = cls._insert_bg
+
+    def counted_step(self, j, g):
+        changes.append(step(self, j, g))
+        return changes[-1]
+
+    monkeypatch.setattr(cls, "_insert_bg", counted_step)
+    cfg = SimulationConfig(kinds=(kind,), b=10, checkpoints=50, match_memory=True)
+    run_trial(kind, cfg.registers_for(kind), cfg.n, cfg.checkpoint_positions(), seed=0,
+              trial=0, martingale=False, asymptotic=False)
+    assert len(decodes) == len(cls._arrays)  # one count per packed array
+    assert max(decodes.values()) <= 1 + sum(changes)
+    if not kind.endswith("-tc"):
+        assert not changes
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
