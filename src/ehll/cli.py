@@ -199,8 +199,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_mvp(args) -> int:
+    rows = analysis.mvp_report(args.bits)  # validates --bits before any output
     print("sketch,bits_per_cell,variance_constant,mvp")
-    for row in analysis.mvp_report(args.bits):
+    for row in rows:
         print(f"{row.sketch},{row.bits_per_cell:.6g},"
               f"{row.variance_constant:.6g},{row.mvp:.6g}")
     return 0

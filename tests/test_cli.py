@@ -276,6 +276,14 @@ def test_mvp_output(capsys):
     assert float(rows["ehll"][3]) == pytest.approx(5.46, rel=0.01)
 
 
+@pytest.mark.parametrize("bits", ["0", "31", "65"])
+def test_mvp_bad_bits_prints_nothing(capsys, bits):
+    code, out, err = run(capsys, "mvp", "--bits", bits)
+    assert code == 2
+    assert out == ""
+    assert "u_bits" in err
+
+
 def test_oracle_expectation_command(capsys):
     code, out, _ = run(capsys, "oracle", "expectation", "--sketch", "ehll",
                        "--n", "10", "--m", "2", "--k", "64")

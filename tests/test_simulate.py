@@ -228,6 +228,76 @@ def test_multi_kind_simulate_is_worker_independent(name):
     assert csvs[2] == csvs[1] and csvs[3] == csvs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(_MULTI_KIND))
+def test_every_kind_matrix_equals_its_own_trials(name, workers):
+    """A block shares one hash per trial between kinds and changes no estimate."""
+    from ehll.simulate import _estimates
+
+    cfg = SimulationConfig(b=4, n=300, trials=9, checkpoints=3, seed=13,
+                           workers=workers, **_MULTI_KIND[name])
+    positions = cfg.checkpoint_positions()
+    got = _estimates(cfg)
+    assert list(got) == list(cfg.kinds)
+    for kind in cfg.kinds:
+        expected = np.stack([run_trial(kind, cfg.registers_for(kind), cfg.n, positions,
+                                       cfg.seed, t, cfg.martingale, cfg.asymptotic)
+                             for t in range(cfg.trials)])
+        assert np.array_equal(got[kind], expected), kind
+
+
+@pytest.mark.parametrize("name", sorted(_MULTI_KIND))
+def test_one_stream_hash_per_trial_and_one_split_per_m(name, monkeypatch):
+    import importlib
+
+    sim = importlib.import_module("ehll.simulate")  # the package re-exports simulate()
+    calls, writable = Counter(), []
+
+    def counted(fn, f):
+        def wrapper(*args, **kwargs):
+            calls.update([fn])
+            if kwargs.get("pairs") is not None:
+                writable.extend(a.flags.writeable for a in kwargs["pairs"])
+            return f(*args, **kwargs)
+        return wrapper
+
+    for fn in ("stream_u64", "hash64_u64_array", "split_hash_array", "run_trial"):
+        monkeypatch.setattr(sim, fn, counted(fn, getattr(sim, fn)))
+    cfg = SimulationConfig(b=4, n=300, trials=9, checkpoints=3, seed=13,
+                           **_MULTI_KIND[name])
+    sim._estimates(cfg)
+    distinct_m = len({cfg.registers_for(kind) for kind in cfg.kinds})
+    assert calls == {"stream_u64": cfg.trials, "hash64_u64_array": cfg.trials,
+                     "split_hash_array": cfg.trials * distinct_m,
+                     "run_trial": cfg.trials * len(cfg.kinds)}
+    assert len(writable) == 2 * calls["run_trial"] and not any(writable)
+
+
+@pytest.mark.parametrize("kind", ["pcsa", "hll", "ehll", "hll-tc", "ehll-tc"])
+def test_batch_paths_take_read_only_pairs(kind):
+    """Kinds may share one split: no batch path writes its (bucket, rank) input."""
+    from ehll.serialization import SKETCHES
+
+    m, n = 16, 6000
+    bucket, geo = split_hash_array(hash64_u64_array(stream_u64(n, 29), 29), m)
+    bucket.setflags(write=False)
+    geo.setflags(write=False)
+    before = bucket.copy(), geo.copy()
+    sketch, ref = SKETCHES[kind](m=m), SKETCHES[kind](m=m)
+    for lo, hi in ((0, 1), (1, 700), (700, 3000), (3000, n)):
+        sketch._insert_bg_batch(bucket[lo:hi], geo[lo:hi])
+        ref._insert_bg_batch(bucket[lo:hi].copy(), geo[lo:hi].copy())
+    assert sketch == ref
+    if kind != "pcsa":
+        counter = MartingaleCounter(SKETCHES[kind](m=m))
+        got = counter.insert_bg_batch(bucket, geo)
+        expected = MartingaleCounter(SKETCHES[kind](m=m)).insert_bg_batch(
+            bucket.copy(), geo.copy())
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+    assert np.array_equal(bucket, before[0]) and np.array_equal(geo, before[1])
+
+
 def test_one_pool_per_simulate_call(monkeypatch):
     import concurrent.futures
 
