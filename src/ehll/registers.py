@@ -6,12 +6,11 @@ matters: the memory accounting of the sketches (6 bits per HyperLogLog
 register, 7 per ExtendedHyperLogLog cell, 4-bit TailCut offsets) is only
 real if the buffer is exactly ``ceil(m * width / 8)`` bytes.
 
-Scalar get/set serve the per-element insert path; ``values()`` /
-``set_values()`` unpack and repack the whole array for the batch paths.
-A rank sketch keeps the cells of its last full write, so ``values()``
-runs on a file load and on the first read after a scalar change, not
-once per batch or estimate; ``set_values()`` still runs on every full
-write.
+Scalar get/set serve the bitmap insert path and direct reads and writes;
+``values()`` / ``set_values()`` unpack and repack the whole array.  A rank
+sketch owns its cells and packs them with ``set_values()`` only when
+something reads its bytes (a serialize, an ``==``, a direct read), and
+decodes them with ``values()`` only on a file load or a resync.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
 whole-array codec reads each group of eight as one little-endian 64-bit
 word and shifts register ``i`` of the group by ``i * width``: one

@@ -23,14 +23,13 @@ storage codec: plain 6-bit ranks here, a shared base plus 4-bit offsets
 in :mod:`ehll.tailcut`.
 
 Each sketch maintains a compensated running sum of its per-cell
-change-probability terms so ``change_probability()`` is O(1).  After a
-full write a sketch keeps the cells it wrote until its next scalar change
-(see :class:`_RankSketch`); its indicator and estimate read them, equal
-to a recompute from the registers without decoding them.
+change-probability terms so ``change_probability()`` is O(1).  A rank
+sketch owns its cells as int64 arrays and packs them into the registers
+only when something reads the bytes (see :class:`_RankSketch`).
 
-Sketches are single-writer; merging immutable snapshots from several
-threads is fine since ``merge`` never mutates its operands: it only
-reads their cells, kept or decoded, and never keeps what it decodes.
+Sketches are single-writer, and reading the packed arrays of a sketch
+whose cells moved writes them.  ``merge`` reads only its operands' cells,
+so merging snapshots from several threads is fine.
 """
 
 from __future__ import annotations
@@ -237,7 +236,7 @@ class _SketchBase:
         self._insert_bg_batch(*self.split_tokens(buf, starts, ends))
 
     def _loaded(self) -> bool:
-        """Whether inserts can produce a decoded state; if so, rebuild derived state."""
+        """Re-read the state from the packed arrays; whether inserts can produce it."""
         return True
 
     def memory_bits(self) -> int:
@@ -245,8 +244,9 @@ class _SketchBase:
 
     def copy(self):
         dup = copy.copy(self)
-        for name in self._arrays:
-            setattr(dup, name, getattr(self, name).copy())
+        for name, value in vars(self).items():  # the state arrays: cells and packed
+            if isinstance(value, (np.ndarray, PackedRegisterArray)):
+                setattr(dup, name, value.copy())
         return dup
 
     def __eq__(self, other) -> bool:
@@ -295,54 +295,60 @@ class PcsaSketch(_SketchBase):
 class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
-    A codec supplies ``_clear`` (empty storage), ``_get_rank``/``_set_rank``
-    (one cell), ``effective_values`` (decodes all cells) and ``_set_ranks``
-    (stores them), and may refine ``_clamp``, ``_term``/``_terms``,
-    ``_after_insert``, ``_derive``, ``_load``, ``_run_end``, ``_loaded`` and
-    ``_cells_and_sum``.  Neighbor bits live in ``bits``.  State computed
+    The sketch owns its cells: the ranks ``_k`` and, with neighbor bits,
+    ``_x``, writable int64 arrays of ``m``.  The scalar step writes one
+    cell in place; a full write (batch union, merge, TailCut promotion or
+    re-encode) replaces both in ``_store``.  The packed arrays named in
+    ``_arrays`` are properties: reading one first packs the cells if they
+    moved since the last pack, so ``serialize``, ``==`` and a file load
+    see the bytes, and batches and estimates, which read none, pack
+    nothing.  ``copy`` copies the cells.
+
+    A codec supplies ``_width`` (bits per stored rank) and ``base`` (what
+    a stored rank counts from) and may refine ``_clamp``,
+    ``_term``/``_terms``, ``_after_insert``, ``_derive``, ``_load``,
+    ``_run_end``, ``_loaded`` and ``_cells_and_sum``.  State computed
     from the cells (the term sum, TailCut's ``_zero_offsets``) moves only
     incrementally in the scalar step and exactly in ``_derive``, which
-    ``_store`` calls after every full write and ``_loaded``/``resync_term_sum``
-    after a decode.
-
-    ``_derive`` also keeps its cells ``(k, x)``, read-only, in ``_kept``
-    until a scalar change drops them; ``_cells`` returns them, else a
-    decode, so a batch run or estimate after a full write decodes nothing.
-    The packed arrays, still written on every full write, remain the only
-    state ``serialize``, ``==``, ``copy`` and ``memory_bits`` see (``copy``
-    shares the read-only kept arrays).  Here ``_terms`` is
-    :func:`cell_terms`, so the kept term sum is the estimator's sum, bit for
-    bit; a codec whose ``_terms`` differ overrides ``_cells_and_sum``.
+    ends every full write and ``resync_term_sum``.  Here ``_terms`` is
+    :func:`cell_terms`, so until the next scalar step the ``_derive`` sum
+    is the estimator's sum, bit for bit (``_sum_exact``); a codec whose
+    ``_terms`` differ overrides ``_cells_and_sum``.
     """
 
     neighbor_bit = False
+    base = 0  # the plain codec stores each rank as it is
+    _width = REGISTER_WIDTH
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
-        self._clear()
+        setattr(self, "_" + self._arrays[0], PackedRegisterArray(self.m, self._width))
+        x = None
         if self.neighbor_bit:
-            self.bits = BitArray(self.m, fill=1)
-        # running sum of the cell terms, Kahan-compensated by _sum_err
-        self._sum, self._sum_err = float(self.m), 0.0
-        self._kept = None  # the cells of the last _derive, until a scalar change
+            self._bits, x = BitArray(self.m, fill=1), np.ones(self.m, dtype=np.int64)
+        self._stale = False  # whether the cells moved since the last pack
+        self._k, self._x = np.zeros(self.m, dtype=np.int64), x
+        # every empty cell's term is 1; the scalar step moves the sum, Kahan-compensated
+        self._sum, self._sum_err, self._sum_exact = float(self.m), 0.0, True
 
-    # -- plain codec --------------------------------------------------------
+    def _packed(self, attr: str) -> PackedRegisterArray:
+        """The packed array ``attr``, after packing the cells if they moved since."""
+        if self._stale:
+            getattr(self, "_" + self._arrays[0]).set_values(self._k - self.base)
+            if self.neighbor_bit:
+                self._bits.set_values(self._x)
+            self._stale = False
+        return getattr(self, attr)
 
-    def _clear(self) -> None:
-        self.ranks = PackedRegisterArray(self.m, REGISTER_WIDTH)
-
-    def _get_rank(self, j: int) -> int:
-        return self.ranks.get(j)
-
-    def _set_rank(self, j: int, k: int) -> None:
-        self.ranks.set(j, k)
+    ranks = property(lambda self: self._packed("_ranks"), doc="The packed 6-bit ranks.")
+    bits = property(lambda self: self._packed("_bits"), doc="The packed neighbor bits.")
 
     def effective_values(self) -> np.ndarray:
-        """Stored rank of every cell."""
-        return self.ranks.values()
+        """Stored rank of every cell (a copy)."""
+        return self._k.copy()
 
-    def _set_ranks(self, k: np.ndarray) -> None:
-        self.ranks.set_values(k)
+    def memory_bits(self) -> int:
+        return self.m * (self._width + self.neighbor_bit)  # the packed payload; packs nothing
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         return k, x
@@ -358,25 +364,17 @@ class _RankSketch(_SketchBase):
 
     # -- the rule -----------------------------------------------------------
 
-    def _decode(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every cell, read from the packed arrays."""
-        return self.effective_values(), (self.bits.values() if self.neighbor_bit else None)
-
     def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Every cell: the kept ones, else a decode (which is not kept)."""
-        return self._decode() if self._kept is None else self._kept
+        return self._k, self._x
 
     def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """Every cell and the sum of its :func:`cell_terms`: the kept term sum, if kept."""
-        if self._kept is None:
-            k, x = self._decode()
-            return k, x, float(cell_terms(k, x).sum())
-        return (*self._kept, self._sum)
+        """Every cell and the sum of its :func:`cell_terms`: the ``_derive`` sum while exact."""
+        k, x = self._k, self._x
+        return k, x, self._sum if self._sum_exact else float(cell_terms(k, x).sum())
 
     def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        self._set_ranks(k)
-        if x is not None:
-            self.bits.set_values(x)
+        """Make ``(k, x)`` the cells; they are packed when something reads the bytes."""
+        self._stale = True
         self._derive(k, x)
 
     _load = _store  # a merged (rank, bit) state needs no re-encoding here
@@ -387,8 +385,8 @@ class _RankSketch(_SketchBase):
         return np.maximum(k_a, k_b), None
 
     def _insert_bg(self, bucket: int, geo: int) -> bool:
-        k = self._get_rank(bucket)
-        x = self.bits.get(bucket) if self.neighbor_bit else 1
+        k = self._k.item(bucket)
+        x = self._x.item(bucket) if self.neighbor_bit else 1
         if geo > k:
             new_k, new_x = self._clamp(geo, int(geo == k + 1 or not self.neighbor_bit))
         elif geo == k - 1 and x == 0:
@@ -398,10 +396,11 @@ class _RankSketch(_SketchBase):
         if new_k == k and new_x == x:
             return False  # a saturated cell cannot move further
         old_term = self._term(k, x)
-        self._kept = None
-        self._set_rank(bucket, new_k)
+        self._k[bucket] = new_k
         if self.neighbor_bit:
-            self.bits.set(bucket, new_x)
+            self._x[bucket] = new_x
+        self._stale = True
+        self._sum_exact = False
         y = self._term(new_k, new_x) - old_term - self._sum_err
         t = self._sum + y
         self._sum_err = (t - self._sum) - y
@@ -445,14 +444,12 @@ class _RankSketch(_SketchBase):
         self._store(*self._union(k0, x0, k, x))
 
     def _loaded(self) -> bool:
-        k, x = self._decode()
+        self.resync_term_sum()
+        k, x = self._k, self._x
         bad = k > self.width + 1
         if x is not None:
             bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
-        if bad.any():
-            return False
-        self._derive(k, x)
-        return True
+        return not bad.any()
 
     def indicator(self) -> float:
         """Harmonic indicator: inverse sum of the per-cell terms."""
@@ -463,24 +460,20 @@ class _RankSketch(_SketchBase):
         return self._sum / self.m
 
     def resync_term_sum(self) -> None:
-        """Recompute the change-probability sum and the kept cells from the packed arrays.
+        """Re-read the cells from the packed arrays and recompute the term sum exactly.
 
-        Call it after writing ``ranks``, ``bits`` or ``offsets`` directly:
-        batch runs and estimates read the kept cells, which such a write
-        does not reach.
+        Call it after writing ``ranks``, ``bits`` or ``offsets`` directly.
+        Reading them packs cells that moved first, so a resync without such
+        a write leaves the state as it was.
         """
-        self._derive(*self._decode())
+        k = getattr(self, self._arrays[0]).values() + self.base
+        self._derive(k, self.bits.values() if self.neighbor_bit else None)
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Rebuild the state computed from all cells ``(k, x)``: the exact term sum.
-
-        Keeps the cells, read-only, for the next batch run and estimate.
-        """
-        for a in (k, x):
-            if a is not None:
-                a.setflags(write=False)
-        self._kept = k, x
+        """Make ``(k, x)`` the cells and rebuild what is computed from them: the exact term sum."""
+        self._k, self._x = k, x
         self._sum, self._sum_err = float(self._terms(k, x).sum()), 0.0
+        self._sum_exact = True
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         return _estimate(self.m, *self._cells_and_sum(), asymptotic)

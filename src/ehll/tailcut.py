@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from .registers import PackedRegisterArray
 from .sketches import _RankSketch, _SketchBase, cell_terms
 
 OFFSET_WIDTH = 4
@@ -46,24 +45,13 @@ class _TailCutBase(_RankSketch):
     """Base-plus-offset codec shared by both TailCut sketches."""
 
     _header = ("base",)
+    _width = OFFSET_WIDTH
+    offsets = property(lambda self: self._packed("_offsets"),
+                       doc="The packed 4-bit offsets above ``base``.")
 
-    def _clear(self) -> None:
-        self.base = 0
-        self.offsets = PackedRegisterArray(self.m, OFFSET_WIDTH)
+    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
+        super().__init__(b, m, seed)
         self._zero_offsets = self.m
-
-    def _get_rank(self, j: int) -> int:
-        return self.base + self.offsets.get(j)
-
-    def _set_rank(self, j: int, k: int) -> None:
-        self.offsets.set(j, k - self.base)
-
-    def effective_values(self) -> np.ndarray:
-        """Stored effective register values ``base + offset``."""
-        return self.offsets.values() + self.base
-
-    def _set_ranks(self, k: np.ndarray) -> None:
-        self.offsets.set_values(k - self.base)
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
         super()._derive(k, x)

@@ -111,20 +111,108 @@ def test_empty_batch_reads_and_writes_no_register(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
 def test_tailcut_reads_its_offsets_once_per_load_and_per_run(kind, monkeypatch):
+    """A file load decodes the offsets once; a run walker reads and packs none."""
     cls = SKETCHES[kind]
     data = serialize(batched(cls, stream_u64(5000, 3), 5000, b=10))
     reads = count_calls(monkeypatch, PackedRegisterArray, "values")
+    writes = count_calls(monkeypatch, PackedRegisterArray, "set_values")
     deserialize(data)
     assert len(reads) == 1
+    runs = count_calls(monkeypatch, _TailCutBase, "_run_end")
     # cell 0 keeps its zero offset, so the base holds and every run scans for lifts;
     # the three ranks above the ceiling cut the batch into four runs
     bucket = np.arange(300) % 15 + 1
     geo = np.full(300, 3)
     geo[[50, 120, 121]] = 20
     for walk in (cls(m=16)._insert_bg_batch, MartingaleCounter(cls(m=16)).insert_bg_batch):
-        reads.clear()
+        for calls in (reads, writes, runs):
+            calls.clear()
         walk(bucket, geo)
-        assert len(reads) == 4
+        assert (len(reads), len(writes), len(runs)) == (0, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# cells owned by the sketch, packed when the bytes are read
+
+RANK_KINDS = [kind for kind in KINDS if kind != "pcsa"]
+
+
+def cells_of(s):
+    return [a.copy() for a in s._cells() if a is not None]
+
+
+def decoded(s):
+    """The cells a fresh decode of the packed arrays gives (reading them packs first)."""
+    rank_array = getattr(s, s._arrays[0])
+    return [rank_array.values() + s.base] + ([s.bits.values()] if s.neighbor_bit else [])
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_resync_after_a_batch_keeps_the_state(kind):
+    s = batched(SKETCHES[kind], stream_u64(3000, 4), 1000, b=10)
+    assert s._stale  # the cells moved since the last pack
+    ref = s.copy()
+    s.resync_term_sum()  # packs the moved cells before it decodes
+    assert all(map(np.array_equal, cells_of(s), cells_of(ref)))
+    assert serialize(s) == serialize(ref)
+    assert s.estimate().value == ref.estimate().value
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_direct_write_after_a_batch_then_resync_gives_the_written_state(kind):
+    s = batched(SKETCHES[kind], stream_u64(3000, 4), 1000, b=10)
+    rank_array = getattr(s, s._arrays[0])
+    stored = rank_array.values()
+    stored[:8] = 3  # valid for both codecs and above rank 1, so any bit may follow
+    rank_array.set_values(stored)
+    written = [stored + s.base]
+    if s.neighbor_bit:
+        bits = s.bits.values()
+        bits[:8] ^= 1
+        s.bits.set_values(bits)
+        written.append(bits)
+    s.resync_term_sum()
+    assert all(map(np.array_equal, cells_of(s), written))
+    assert all(map(np.array_equal, decoded(s), written))
+    assert s.estimate().value == estimate_cells(s.m, *written).value
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_estimate_after_scalar_steps_resums_the_cells(kind):
+    # ranks up to 60 over 16 cells: the running (Kahan) term sum soon differs
+    # from the estimator's pairwise sum in its last bits
+    rng = np.random.default_rng(1)
+    s = SKETCHES[kind](m=16)
+    s._insert_bg_batch(rng.integers(0, 16, 40), rng.integers(1, 20, 40))
+    for j, g in zip(rng.integers(0, 16, 300).tolist(), rng.integers(1, 61, 300).tolist()):
+        s._insert_bg(j, g)
+        cells = s._cells()
+        assert s.estimate().value == estimate_cells(s.m, *cells).value
+        assert s.indicator() == cell_indicator(*cells)
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_copy_then_insert_leaves_the_original(kind):
+    s = batched(SKETCHES[kind], stream_u64(3000, 4), 1000, b=10)
+    packed = serialize(s)  # packs, so the original's bytes are read as they stand below
+    cells, term_sum = cells_of(s), s._sum
+    dup = s.copy()
+    dup.insert_all(range(500))  # scalar steps write the copied cells in place
+    dup.insert_batch(stream_u64(3000, 5))
+    serialize(dup)
+    assert all(map(np.array_equal, cells_of(s), cells))
+    assert s._sum == term_sum
+    assert serialize(s) == packed
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_memory_bits_packs_nothing(kind, monkeypatch):
+    s = batched(SKETCHES[kind], stream_u64(2000, 8), 2000, b=10)
+    assert s._stale
+    writes = [count_calls(monkeypatch, cls, "set_values") for cls in (PackedRegisterArray, BitArray)]
+    bits = s.memory_bits()
+    assert sum(map(len, writes)) == 0
+    assert bits == sum(getattr(s, name).memory_bits() for name in s._arrays)
 
 
 @pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
@@ -201,10 +289,9 @@ class SketchMachine(RuleBasedStateMachine):
     Order-free kinds are checked against the oracle cells of everything
     inserted or merged in; TailCut kinds against a twin that takes every
     element through scalar ``insert`` and merges the scalar twin of each
-    merged sketch.  The cells a rank sketch keeps from its last full
-    write, and the estimate and indicator read from them, must equal a
-    fresh decode of the packed arrays, and a copy's insert must leave the
-    original's cells alone.
+    merged sketch.  A rank sketch's cells, and the estimate and indicator
+    read from them, must equal a fresh decode of its packed arrays, and a
+    copy's insert must leave the original's cells alone.
     """
 
     kind = ""
@@ -275,25 +362,23 @@ class SketchMachine(RuleBasedStateMachine):
         self.sketch.resync_term_sum()
 
     @invariant()
-    def kept_cells_match_the_packed_arrays(self):
+    def cells_match_the_packed_arrays(self):
         s = self.sketch
         if self.kind == "pcsa":
             return
-        fresh = (s.effective_values(), s.bits.values() if s.neighbor_bit else None)
+        # a copy packs its own arrays, so the sketch keeps the staleness the rules left
+        fresh = decoded(s.copy())
         k, x = s._cells()
         assert np.array_equal(k, fresh[0])
-        assert (x is None) if fresh[1] is None else np.array_equal(x, fresh[1])
+        assert (x is None) if len(fresh) == 1 else np.array_equal(x, fresh[1])
         assert s.estimate().value == estimate_cells(s.m, *fresh).value
         assert s.indicator() == cell_indicator(*fresh)
-        for kept in [a for a in s._kept or () if a is not None]:
-            with pytest.raises(ValueError):  # read-only: no write splits them from the bytes
-                kept[:1] = 0
 
     @invariant()
     def matches_reference(self):
         s = self.sketch
         if isinstance(s, _TailCutBase):
-            assert s == self.twin
+            assert s.copy() == self.twin  # the copy packs, the sketch stays as it was
         else:
             shadow = shadow_from_stream(self.stream, s.m, SEED)
             if self.kind == "pcsa":

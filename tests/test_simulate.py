@@ -89,18 +89,19 @@ def test_run_trial_matches_reference_sketch(kind):
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
 def test_matched_trial_decodes_each_array_once(kind, monkeypatch):
-    """Checkpoints read the cells the last batch kept, not a decode each.
+    """A matched trial neither decodes nor packs a register array, for any kind.
 
-    A TailCut run walker's scalar step drops the kept cells, so each state
-    change it makes may cost one more decode; the plain kinds make none.
+    Batches, TailCut's scalar steps and estimates all work on the cells the
+    sketch owns; they are packed only when something reads the bytes.
     """
     from ehll.registers import BitArray, PackedRegisterArray
     from ehll.serialization import SKETCHES
 
-    decodes, changes = Counter(), []
+    codec, changes = Counter(), []
     for cls in (PackedRegisterArray, BitArray):
-        monkeypatch.setattr(cls, "values", lambda self, f=vars(cls)["values"]:
-                            decodes.update([id(self)]) or f(self))
+        for name in ("values", "set_values"):
+            monkeypatch.setattr(cls, name, lambda self, *a, f=vars(cls)[name], n=name:
+                                codec.update([n]) or f(self, *a))
     cls = SKETCHES[kind]
     step = cls._insert_bg
 
@@ -112,10 +113,9 @@ def test_matched_trial_decodes_each_array_once(kind, monkeypatch):
     cfg = SimulationConfig(kinds=(kind,), b=10, checkpoints=50, match_memory=True)
     run_trial(kind, cfg.registers_for(kind), cfg.n, cfg.checkpoint_positions(), seed=0,
               trial=0, martingale=False, asymptotic=False)
-    assert len(decodes) == len(cls._arrays)  # one count per packed array
-    assert max(decodes.values()) <= 1 + sum(changes)
-    if not kind.endswith("-tc"):
-        assert not changes
+    assert codec == Counter()
+    # TailCut run walkers take scalar steps that change cells; the plain kinds take none
+    assert any(changes) if kind.endswith("-tc") else not changes
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
