@@ -196,22 +196,20 @@ def union_sketch(stream_a, stream_b, kind: str, b: int | None = None,
 
 def _cell_changes(sketch, j: int, k: int) -> bool:
     """Would an element with bucket j and rank k change the stored state?"""
+    ranks, bits = sketch._cells()
+    c = int(ranks[j])
     if isinstance(sketch, HllTcSketch):
-        eff = sketch.base + sketch.offsets.get(j)
-        return k > eff and sketch.offsets.get(j) < OFFSET_MAX
+        return k > c and c - sketch.base < OFFSET_MAX
     if isinstance(sketch, EhllTcSketch):
-        off = sketch.offsets.get(j)
-        eff = sketch.base + off
-        x = sketch.bits.get(j)
-        if off < OFFSET_MAX:
-            return k > eff or (k == eff - 1 and x == 0)
+        x = int(bits[j])
+        if c - sketch.base < OFFSET_MAX:
+            return k > c or (k == c - 1 and x == 0)
         # saturated: a larger rank truncates and forces the bit to 0
-        return (k > eff and x == 1) or (k == eff - 1 and x == 0)
+        return (k > c and x == 1) or (k == c - 1 and x == 0)
     if isinstance(sketch, EhllSketch):
-        c1, c2 = sketch.ranks.get(j), sketch.bits.get(j)
-        return k > c1 or (k == c1 - 1 and c2 == 0)
+        return k > c or (k == c - 1 and int(bits[j]) == 0)
     if isinstance(sketch, HllSketch):
-        return k > sketch.ranks.get(j)
+        return k > c
     raise TypeError(f"unsupported sketch type {type(sketch).__name__}")
 
 

@@ -3,14 +3,15 @@
 Registers of 1..8 bits are packed contiguously, least-significant-bit
 first within each byte, and may straddle byte boundaries.  True packing
 matters: the memory accounting of the sketches (6 bits per HyperLogLog
-register, 7 per ExtendedHyperLogLog cell, 4-bit TailCut offsets) is only
-real if the buffer is exactly ``ceil(m * width / 8)`` bytes.
+register, 7 per ExtendedHyperLogLog cell, 4-bit TailCut offsets) counts
+their EHS1 payload, real only if each buffer is exactly
+``ceil(m * width / 8)`` bytes.
 
-Scalar get/set serve the bitmap insert path and direct reads and writes;
-``values()`` / ``set_values()`` unpack and repack the whole array.  A rank
-sketch owns its cells and packs them with ``set_values()`` only when
-something reads its bytes (a serialize, an ``==``, a direct read), and
-decodes them with ``values()`` only on a file load or a resync.
+Scalar get/set serve the bitmap insert path; ``values()`` /
+``set_values()`` unpack and repack the whole array.  The PCSA bitmap
+lives packed; a rank sketch's state is its int64 cells, which it packs
+with ``set_values()`` only to build its EHS1 payload (a serialize, an
+``==``) and decodes with ``values()`` only on a file load.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
 whole-array codec reads each group of eight as one little-endian 64-bit
 word and shifts register ``i`` of the group by ``i * width``: one
@@ -106,10 +107,6 @@ class PackedRegisterArray:
         words = np.bitwise_or.reduce(lanes << shifts, axis=1)
         packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
         self.buffer = packed[:len(self.buffer)]
-
-    def zero_count(self) -> int:
-        """Number of registers equal to 0 (the V of LinearCounting)."""
-        return int(np.count_nonzero(self.values() == 0))
 
     def memory_bits(self) -> int:
         """Register payload bits, excluding the constant-size object header."""

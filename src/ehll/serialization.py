@@ -11,12 +11,16 @@ Layout (all integers little-endian):
     payload          packed register bytes, then bit-array bytes,
                      least-significant-bit first within each byte
 
-Payload sizes are implied exactly by (kind, b); deserialization rejects
-wrong magic, version, kind tag, or any length mismatch before touching
-the payload, and then any cell state that no insert sequence can produce
-(see :func:`deserialize`).  Only power-of-two sketches are serializable:
-the one-byte precision field cannot express the ad-hoc register counts
-used by matched-memory experiments.
+The payload is the packed form that the sketches' memory accounting
+counts.  A rank sketch builds it from its cells only here
+(``_payload()``) and decodes it only on load (``_loaded(parts)``).
+Payload sizes are implied exactly by (kind, b), by arithmetic over the
+kind's ``_layout()``; deserialization rejects wrong magic, version, kind
+tag, or any length mismatch before touching the payload, and then any
+cell state that no insert sequence can produce (see :func:`deserialize`).
+Only power-of-two sketches are serializable: the one-byte precision
+field cannot express the ad-hoc register counts used by matched-memory
+experiments.
 """
 
 from __future__ import annotations
@@ -50,10 +54,6 @@ def _precision_of(sketch) -> int:
     return b
 
 
-def _payload_parts(sketch) -> list[np.ndarray]:
-    return [getattr(sketch, name).buffer for name in sketch._arrays]
-
-
 def serialize(sketch) -> bytes:
     """Encode a sketch; ``deserialize(serialize(s)) == s`` bit-exactly."""
     b = _precision_of(sketch)
@@ -67,7 +67,7 @@ def serialize(sketch) -> bytes:
         if not 0 <= value <= 0xFF:
             raise ValueError(f"{name} {value} does not fit the header byte")
         header.append(value)
-    return bytes(header) + b"".join(part.tobytes() for part in _payload_parts(sketch))
+    return bytes(header) + b"".join(part.tobytes() for part in sketch._payload())
 
 
 def deserialize(data: bytes):
@@ -96,17 +96,16 @@ def deserialize(data: bytes):
     for i, name in enumerate(sketch._header):
         setattr(sketch, name, data[15 + i])
 
-    parts = _payload_parts(sketch)
-    expected = pos + sum(len(p) for p in parts)
-    if len(data) != expected:
+    sizes = [(n * width + 7) // 8 for n, width in sketch._layout()]
+    if len(data) != pos + sum(sizes):
         raise SketchFormatError(
-            f"payload length {len(data) - pos} does not match expected {expected - pos}")
-    for part in parts:
-        raw = np.frombuffer(data[pos:pos + len(part)], dtype=np.uint8)
-        part[:] = raw
-        pos += len(part)
+            f"payload length {len(data) - pos} does not match expected {sum(sizes)}")
+    parts = []
+    for size in sizes:
+        parts.append(np.frombuffer(data, dtype=np.uint8, count=size, offset=pos))
+        pos += size
 
-    if not sketch._loaded():
+    if not sketch._loaded(parts):
         raise SketchFormatError(f"{sketch.kind} payload holds a state no insert can produce")
     return sketch
 

@@ -24,12 +24,13 @@ in :mod:`ehll.tailcut`.
 
 Each sketch maintains a compensated running sum of its per-cell
 change-probability terms so ``change_probability()`` is O(1).  A rank
-sketch owns its cells as int64 arrays and packs them into the registers
-only when something reads the bytes (see :class:`_RankSketch`).
+sketch's state is its cells, int64 arrays; the packed registers the
+memory accounting counts exist only as the EHS1 payload, built by
+``_payload()`` when a file is written (see :class:`_RankSketch`).
 
-Sketches are single-writer, and reading the packed arrays of a sketch
-whose cells moved writes them.  ``merge`` reads only its operands' cells,
-so merging snapshots from several threads is fine.
+Sketches are single-writer.  Reads (``serialize``, ``==``, ``estimate``,
+``merge``) write nothing, so reading or merging one sketch from several
+threads is fine while no thread inserts into it.
 """
 
 from __future__ import annotations
@@ -173,12 +174,14 @@ def merge_ehll_cells(
 class _SketchBase:
     """Shared plumbing: hashing, merge guards, copy, equality, memory accounting.
 
-    ``_arrays`` names the packed arrays holding the state, in EHS1 payload
-    order; ``_header`` names the one-byte fields the EHS1 header carries.
+    ``_header`` names the one-byte fields the EHS1 header carries.  Each
+    kind supplies the EHS1 payload codec: ``_layout()``, the
+    ``(registers, width)`` of each payload array in payload order;
+    ``_payload()``, the bytes of those arrays; and ``_loaded(parts)``,
+    which takes the state from such bytes.
     """
 
     kind: str = ""
-    _arrays: tuple[str, ...] = ()
     _header: tuple[str, ...] = ()
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
@@ -235,36 +238,43 @@ class _SketchBase:
         """
         self._insert_bg_batch(*self.split_tokens(buf, starts, ends))
 
-    def _loaded(self) -> bool:
-        """Re-read the state from the packed arrays; whether inserts can produce it."""
-        return True
-
     def memory_bits(self) -> int:
-        return sum(getattr(self, name).memory_bits() for name in self._arrays)
+        """EHS1 payload bits, excluding the header: arithmetic, nothing is packed."""
+        return sum(n * width for n, width in self._layout())
 
     def copy(self):
         dup = copy.copy(self)
-        for name, value in vars(self).items():  # the state arrays: cells and packed
+        for name, value in vars(self).items():  # the state arrays
             if isinstance(value, (np.ndarray, PackedRegisterArray)):
                 setattr(dup, name, value.copy())
         return dup
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name)
-            for name in ("m", "seed", *self._header, *self._arrays))
+        return (type(other) is type(self)
+                and all(getattr(self, name) == getattr(other, name)
+                        for name in ("m", "seed", *self._header))
+                and all(map(np.array_equal, self._payload(), other._payload())))
 
 
 class PcsaSketch(_SketchBase):
     """Stochastic-averaged bitmap sketch: one rank-occupancy bitmap per bucket."""
 
     kind = "pcsa"
-    _arrays = ("bitmaps",)
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
         self.L = self.width + 1
         self.bitmaps = BitArray(self.m * self.L)
+
+    def _layout(self) -> tuple[tuple[int, int], ...]:
+        return ((self.m * self.L, 1),)
+
+    def _payload(self) -> list[np.ndarray]:
+        return [self.bitmaps.buffer]  # the working state is already packed
+
+    def _loaded(self, parts: list[np.ndarray]) -> bool:
+        self.bitmaps.buffer = parts[0].copy()
+        return True
 
     # each kind owns its entry points, so instrumentation can wrap them per kind
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
@@ -295,14 +305,13 @@ class PcsaSketch(_SketchBase):
 class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
-    The sketch owns its cells: the ranks ``_k`` and, with neighbor bits,
-    ``_x``, writable int64 arrays of ``m``.  The scalar step writes one
-    cell in place; a full write (batch union, merge, TailCut promotion or
-    re-encode) replaces both in ``_store``.  The packed arrays named in
-    ``_arrays`` are properties: reading one first packs the cells if they
-    moved since the last pack, so ``serialize``, ``==`` and a file load
-    see the bytes, and batches and estimates, which read none, pack
-    nothing.  ``copy`` copies the cells.
+    The cells are the sketch's state: the ranks ``_k`` and, with neighbor
+    bits, ``_x``, int64 arrays of ``m``.  The scalar step writes one cell
+    in place; a full write (batch union, merge, TailCut promotion or
+    re-encode) replaces both in ``_store``.  The packed registers exist
+    only in the EHS1 payload: ``_payload()`` packs the stored ranks
+    ``k - base`` into ``_width``-bit registers and the bits into a
+    :class:`BitArray`, and ``_loaded(parts)`` decodes them back.
 
     A codec supplies ``_width`` (bits per stored rank) and ``base`` (what
     a stored rank counts from) and may refine ``_clamp``,
@@ -310,10 +319,10 @@ class _RankSketch(_SketchBase):
     ``_run_end``, ``_loaded`` and ``_cells_and_sum``.  State computed
     from the cells (the term sum, TailCut's ``_zero_offsets``) moves only
     incrementally in the scalar step and exactly in ``_derive``, which
-    ends every full write and ``resync_term_sum``.  Here ``_terms`` is
-    :func:`cell_terms`, so until the next scalar step the ``_derive`` sum
-    is the estimator's sum, bit for bit (``_sum_exact``); a codec whose
-    ``_terms`` differ overrides ``_cells_and_sum``.
+    ends every full write, every file load and ``resync_term_sum``.  Here
+    ``_terms`` is :func:`cell_terms`, so until the next scalar step the
+    ``_derive`` sum is the estimator's sum, bit for bit (``_sum_exact``);
+    a codec whose ``_terms`` differ overrides ``_cells_and_sum``.
     """
 
     neighbor_bit = False
@@ -322,33 +331,28 @@ class _RankSketch(_SketchBase):
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
-        setattr(self, "_" + self._arrays[0], PackedRegisterArray(self.m, self._width))
-        x = None
-        if self.neighbor_bit:
-            self._bits, x = BitArray(self.m, fill=1), np.ones(self.m, dtype=np.int64)
-        self._stale = False  # whether the cells moved since the last pack
-        self._k, self._x = np.zeros(self.m, dtype=np.int64), x
+        self._k = np.zeros(self.m, dtype=np.int64)
+        self._x = np.ones(self.m, dtype=np.int64) if self.neighbor_bit else None
         # every empty cell's term is 1; the scalar step moves the sum, Kahan-compensated
         self._sum, self._sum_err, self._sum_exact = float(self.m), 0.0, True
-
-    def _packed(self, attr: str) -> PackedRegisterArray:
-        """The packed array ``attr``, after packing the cells if they moved since."""
-        if self._stale:
-            getattr(self, "_" + self._arrays[0]).set_values(self._k - self.base)
-            if self.neighbor_bit:
-                self._bits.set_values(self._x)
-            self._stale = False
-        return getattr(self, attr)
-
-    ranks = property(lambda self: self._packed("_ranks"), doc="The packed 6-bit ranks.")
-    bits = property(lambda self: self._packed("_bits"), doc="The packed neighbor bits.")
 
     def effective_values(self) -> np.ndarray:
         """Stored rank of every cell (a copy)."""
         return self._k.copy()
 
-    def memory_bits(self) -> int:
-        return self.m * (self._width + self.neighbor_bit)  # the packed payload; packs nothing
+    def _layout(self) -> tuple[tuple[int, int], ...]:
+        return ((self.m, self._width),) + (((self.m, 1),) if self.neighbor_bit else ())
+
+    def _codecs(self) -> list[PackedRegisterArray]:
+        """Empty packed arrays in payload order: the stored ranks, then the bits."""
+        return [BitArray(n) if width == 1 else PackedRegisterArray(n, width)
+                for n, width in self._layout()]
+
+    def _payload(self) -> list[np.ndarray]:
+        arrays = self._codecs()
+        for array, cells in zip(arrays, (self._k - self.base, self._x)):
+            array.set_values(cells)
+        return [array.buffer for array in arrays]
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         return k, x
@@ -373,8 +377,7 @@ class _RankSketch(_SketchBase):
         return k, x, self._sum if self._sum_exact else float(cell_terms(k, x).sum())
 
     def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Make ``(k, x)`` the cells; they are packed when something reads the bytes."""
-        self._stale = True
+        """Make ``(k, x)`` the cells."""
         self._derive(k, x)
 
     _load = _store  # a merged (rank, bit) state needs no re-encoding here
@@ -399,7 +402,6 @@ class _RankSketch(_SketchBase):
         self._k[bucket] = new_k
         if self.neighbor_bit:
             self._x[bucket] = new_x
-        self._stale = True
         self._sum_exact = False
         y = self._term(new_k, new_x) - old_term - self._sum_err
         t = self._sum + y
@@ -443,9 +445,13 @@ class _RankSketch(_SketchBase):
             x[k <= 1] = 1
         self._store(*self._union(k0, x0, k, x))
 
-    def _loaded(self) -> bool:
-        self.resync_term_sum()
-        k, x = self._k, self._x
+    def _loaded(self, parts: list[np.ndarray]) -> bool:
+        arrays = self._codecs()
+        for array, part in zip(arrays, parts):
+            array.buffer = part
+        k = arrays[0].values() + self.base
+        x = arrays[1].values() if self.neighbor_bit else None
+        self._derive(k, x)
         bad = k > self.width + 1
         if x is not None:
             bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
@@ -460,14 +466,8 @@ class _RankSketch(_SketchBase):
         return self._sum / self.m
 
     def resync_term_sum(self) -> None:
-        """Re-read the cells from the packed arrays and recompute the term sum exactly.
-
-        Call it after writing ``ranks``, ``bits`` or ``offsets`` directly.
-        Reading them packs cells that moved first, so a resync without such
-        a write leaves the state as it was.
-        """
-        k = getattr(self, self._arrays[0]).values() + self.base
-        self._derive(k, self.bits.values() if self.neighbor_bit else None)
+        """Recompute the term sum exactly from the cells."""
+        self._derive(self._k, self._x)
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
         """Make ``(k, x)`` the cells and rebuild what is computed from them: the exact term sum."""
@@ -480,16 +480,15 @@ class _RankSketch(_SketchBase):
 
     def merge(self, other):
         self._check_mergeable(other)
-        out = self.copy()
+        out = copy.copy(self)  # _load replaces the cells, so none are copied
         out._load(*self._union(*self._cells(), *other._cells()))
         return out
 
 
 class HllSketch(_RankSketch):
-    """Max-rank sketch with 6-bit packed registers."""
+    """Max-rank sketch: one rank per cell, a 6-bit register in the EHS1 payload."""
 
     kind = "hll"
-    _arrays = ("ranks",)
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate
 
@@ -499,6 +498,5 @@ class EhllSketch(_RankSketch):
 
     kind = "ehll"
     neighbor_bit = True
-    _arrays = ("ranks", "bits")
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate

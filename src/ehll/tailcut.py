@@ -46,8 +46,6 @@ class _TailCutBase(_RankSketch):
 
     _header = ("base",)
     _width = OFFSET_WIDTH
-    offsets = property(lambda self: self._packed("_offsets"),
-                       doc="The packed 4-bit offsets above ``base``.")
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
@@ -122,16 +120,15 @@ class _TailCutBase(_RankSketch):
             end = int(first_lift[zero].max())
         return end
 
-    def _loaded(self) -> bool:
+    def _loaded(self, parts: list[np.ndarray]) -> bool:
         # every update path promotes or re-encodes, leaving a zero offset
-        return super()._loaded() and self._zero_offsets > 0
+        return super()._loaded(parts) and self._zero_offsets > 0
 
 
 class HllTcSketch(_TailCutBase):
     """Max-rank sketch stored as base counter plus 4-bit offsets."""
 
     kind = "hll-tc"
-    _arrays = ("offsets",)
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate
     _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _RankSketch._insert_bg_batch
@@ -142,7 +139,6 @@ class EhllTcSketch(_TailCutBase):
 
     kind = "ehll-tc"
     neighbor_bit = True
-    _arrays = ("offsets", "bits")
     insert, insert_batch = _SketchBase.insert, _SketchBase.insert_batch
     merge, estimate = _RankSketch.merge, _RankSketch.estimate
     _insert_bg, _insert_bg_batch = _RankSketch._insert_bg, _RankSketch._insert_bg_batch

@@ -48,7 +48,7 @@ def test_hash_array_matches_scalar():
         assert hash64(v, seed=99) == h
 
 
-def _packed(tokens, gap=b""):
+def _joined(tokens, gap=b""):
     """One buffer holding ``tokens`` separated by ``gap``, with their offsets."""
     buf, starts, ends = bytearray(), [], []
     for tok in tokens:
@@ -73,7 +73,7 @@ _TOKENS = st.one_of(
        gap=st.sampled_from([b"", b"\n", b"\x00\xff\r"]),
        seed=st.integers(0, 2**64 - 1))
 def test_hash64_tokens_matches_hash64(tokens, gap, seed):
-    buf, starts, ends = _packed(tokens, gap)
+    buf, starts, ends = _joined(tokens, gap)
     got = hash64_tokens(buf, starts, ends, seed)
     assert got.dtype == np.uint64
     assert got.tolist() == [hash64(tok, seed) for tok in tokens]
@@ -82,7 +82,7 @@ def test_hash64_tokens_matches_hash64(tokens, gap, seed):
 def test_hash64_tokens_examples():
     tokens = [b"", b"a", b"\r", b"\0" * 8, b"x" * 16, "日本語\r".encode(), b"y" * 17,
               bytes(range(256))]
-    buf, starts, ends = _packed(tokens, b"\n")
+    buf, starts, ends = _joined(tokens, b"\n")
     assert hash64_tokens(buf, starts, ends, 7).tolist() == [hash64(t, 7) for t in tokens]
     empty = hash64_tokens(b"", np.zeros(0, np.int64), np.zeros(0, np.int64))
     assert empty.shape == (0,) and empty.dtype == np.uint64

@@ -53,7 +53,7 @@ def test_tailcut_merge_commutes(sa, sb):
 @given(sa=elements, sb=elements)
 def test_bulk_term_sum_is_exact(sa, sb):
     # merge and insert_batch take the running sum from the cells they
-    # stored; a resync from the packed arrays must not move it
+    # stored; a resync from those cells must not move it
     for cls in (HllSketch, EhllSketch, HllTcSketch, EhllTcSketch):
         a, b = cls(b=4), cls(b=4)
         a.insert_all(sa)

@@ -47,8 +47,8 @@ def test_shadow_matches_production():
         h.insert_all(stream)
         e.insert_all(stream)
         hll_cells, ehll_cells = derive_cells(shadow_from_stream(stream, 1 << b, seed=13))
-        assert h.ranks.values().tolist() == hll_cells
-        assert list(zip(e.ranks.values().tolist(), e.bits.values().tolist())) == ehll_cells
+        assert h._cells()[0].tolist() == hll_cells
+        assert list(zip(*(a.tolist() for a in e._cells()))) == ehll_cells
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,7 @@ def test_enumerate_rejects_depth_below_one():
 
 def test_enumerate_single_cell_example():
     s = EhllSketch(m=1)
-    s.ranks.set(0, 3)
-    s.bits.set(0, 0)
-    s.resync_term_sum()
+    s._store(np.array([3]), np.array([0]))
     K = 30
     assert s.change_probability() == pytest.approx(3.0 / 8.0)
     assert enumerate_change_probability(s, K) == pytest.approx(3.0 / 8.0 - 0.5**K)
@@ -259,17 +257,20 @@ def test_enumeration_matches_incremental_on_random_states():
         m = int(rng.choice([1, 2, 4]))
         ranks, bits = _random_reachable_cells(rng, m)
         s = EhllSketch(m=m)
-        s.ranks.set_values(ranks)
-        s.bits.set_values(bits)
-        s.resync_term_sum()
+        s._store(ranks, bits)
         diff = s.change_probability() - enumerate_change_probability(s, K)
         assert 0 <= diff <= 0.5**K + 1e-12
 
         h = HllSketch(m=m)
-        h.ranks.set_values(ranks)
-        h.resync_term_sum()
+        h._store(ranks.copy(), None)
         diff = h.change_probability() - enumerate_change_probability(h, K)
         assert 0 <= diff <= 0.5**K + 1e-12
+
+
+def cell(s, j):
+    """(offset above the base, neighbor bit) of TailCut cell ``j``."""
+    k, x = s._cells()
+    return int(k[j]) - s.base, int(x[j])
 
 
 def test_enumeration_covers_tailcut_saturation():
@@ -278,18 +279,18 @@ def test_enumeration_covers_tailcut_saturation():
     s = HllTcSketch(m=3)
     s._insert_bg(0, 20)  # clamps to offset 15
     s._insert_bg(1, 3)
-    assert s.offsets.get(0) == 15 and s.base == 0
+    assert s._cells()[0][0] - s.base == 15 and s.base == 0
     diff = s.change_probability() - enumerate_change_probability(s, 25)
     assert 0 <= diff <= 0.5**25 + 1e-15
 
     e = EhllTcSketch(m=3)
     e._insert_bg(0, 20)  # truncated: bit forced to 0
     e._insert_bg(1, 3)
-    assert (e.offsets.get(0), e.bits.get(0)) == (15, 0)
+    assert cell(e, 0) == (15, 0)
     diff = e.change_probability() - enumerate_change_probability(e, 25)
     assert 0 <= diff <= 0.5**25 + 1e-15
     # fill the neighbor of the saturated cell, then re-check
     assert e._insert_bg(0, 14) is True
-    assert (e.offsets.get(0), e.bits.get(0)) == (15, 1)
+    assert cell(e, 0) == (15, 1)
     diff = e.change_probability() - enumerate_change_probability(e, 25)
     assert 0 <= diff <= 0.5**25 + 1e-15

@@ -74,14 +74,6 @@ def test_fuzz_against_mirror():
             else:
                 assert a.get(j) == mirror[j]
         assert a.values().tolist() == mirror
-        assert a.zero_count() == mirror.count(0)
-
-
-def test_zero_count():
-    a = PackedRegisterArray(16, 6)
-    assert a.zero_count() == 16
-    a.set(5, 9)
-    assert a.zero_count() == 15
 
 
 def test_values_setvalues_roundtrip():
@@ -105,7 +97,6 @@ def test_bitarray_values_and_or():
     b.set_values(y)
     a.or_with(b)
     assert np.array_equal(a.values(), x | y)
-    assert a.zero_count() == int((~(x | y).astype(bool)).sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,13 +146,12 @@ def test_bitarray_fill_copy_and_inherited_counts():
         ones.set_values(np.ones(m, dtype=np.int64))
         full = BitArray(m, fill=1)
         assert full == ones and ones == full
-        assert full.zero_count() == 0 and BitArray(m).zero_count() == m
         assert full.memory_bits() == BitArray(m).memory_bits() == m
         dup = full.copy()
         assert type(dup) is BitArray and dup == full
         dup.set(0, 0)
-        assert dup != full and full.get(0) == 1 and dup.zero_count() == 1
-    for name in ("zero_count", "memory_bits", "copy", "__eq__", "__repr__"):
+        assert dup != full and full.get(0) == 1
+    for name in ("memory_bits", "copy", "__eq__", "__repr__"):
         assert name not in vars(BitArray)
     with pytest.raises(ValueError):
         BitArray(4, fill=2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ehll.hashing import stream_u64
+from ehll.registers import BitArray, PackedRegisterArray
 from ehll.serialization import (
     KIND_TAGS,
     SKETCHES,
@@ -13,8 +14,8 @@ from ehll.serialization import (
     save,
     serialize,
 )
-from ehll.sketches import EhllSketch, HllSketch
-from ehll.tailcut import EhllTcSketch, HllTcSketch, _TailCutBase
+from ehll.sketches import REGISTER_WIDTH, EhllSketch, HllSketch
+from ehll.tailcut import OFFSET_WIDTH, EhllTcSketch, HllTcSketch, _TailCutBase
 
 ALL_KINDS = list(SKETCHES.values())
 
@@ -96,41 +97,60 @@ def test_rejects_malformed():
         deserialize(good + b"\x00")  # trailing bytes
 
 
+def _spliced(cls, b, ranks, bits=None):
+    """The file of an empty ``cls`` sketch at ``b`` with ``ranks`` (and ``bits``) as payload.
+
+    ``ranks`` are the stored values: ranks, or TailCut offsets above the base.
+    """
+    header = serialize(cls(b=b))[:15 + len(cls._header)]
+    width = OFFSET_WIDTH if issubclass(cls, _TailCutBase) else REGISTER_WIDTH
+    arrays = [PackedRegisterArray(1 << b, width)]
+    arrays[0].set_values(ranks)
+    if bits is not None:
+        arrays.append(BitArray(1 << b))
+        arrays[1].set_values(bits)
+    return header + b"".join(a.buffer.tobytes() for a in arrays)
+
+
+def _accepted(data):
+    back = deserialize(data)
+    assert serialize(back) == data
+    return back
+
+
 def test_rejects_rank_above_hash_width():
     # at b=10 the hash leaves 54 rank bits, so the largest rank is 55
-    s = HllSketch(b=10)
-    s.ranks.set(0, 63)
+    ranks = np.zeros(1 << 10, dtype=np.int64)
+    ranks[0] = 63
     with pytest.raises(SketchFormatError):
-        deserialize(serialize(s))
-    s.ranks.set(0, 55)
-    assert deserialize(serialize(s)) == s
+        deserialize(_spliced(HllSketch, 10, ranks))
+    ranks[0] = 55
+    assert _accepted(_spliced(HllSketch, 10, ranks))._cells()[0][0] == 55
 
 
 def test_rejects_zero_neighbor_bit_below_rank_two():
+    ranks, bits = np.zeros(1 << 9, dtype=np.int64), np.ones(1 << 9, dtype=np.int64)
+    bits[0] = 0  # an empty cell is (0, 1)
     for cls in (EhllSketch, EhllTcSketch):
-        s = cls(b=9)
-        s.bits.set(0, 0)  # an empty cell is (0, 1)
         with pytest.raises(SketchFormatError):
-            deserialize(serialize(s))
-    s = EhllSketch(b=9)
-    s.ranks.set(0, 1)
-    s.bits.set(0, 0)
+            deserialize(_spliced(cls, 9, ranks, bits))
+    ranks[0] = 1
     with pytest.raises(SketchFormatError):
-        deserialize(serialize(s))
-    s.ranks.set(0, 2)  # rank 1 unseen below a maximum of 2 is reachable
-    back = deserialize(serialize(s))
-    assert back == s and back.change_probability() < 1.0
+        deserialize(_spliced(EhllSketch, 9, ranks, bits))
+    ranks[0] = 2  # rank 1 unseen below a maximum of 2 is reachable
+    back = _accepted(_spliced(EhllSketch, 9, ranks, bits))
+    assert back.change_probability() < 1.0
 
 
 def test_rejects_tailcut_without_zero_offset():
+    offsets = np.full(16, 2, dtype=np.int64)  # promotion would have moved this into the base
     for cls in (HllTcSketch, EhllTcSketch):
-        s = cls(b=4)
-        for j in range(16):
-            s.offsets.set(j, 2)  # promotion would have moved this into the base
+        bits = np.ones(16, dtype=np.int64) if cls.neighbor_bit else None
         with pytest.raises(SketchFormatError):
-            deserialize(serialize(s))
-        s.offsets.set(5, 0)
-        assert deserialize(serialize(s)) == s
+            deserialize(_spliced(cls, 4, offsets, bits))
+        zero = offsets.copy()
+        zero[5] = 0
+        _accepted(_spliced(cls, 4, zero, bits))
 
 
 def test_general_m_not_serializable():

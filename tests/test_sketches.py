@@ -110,7 +110,7 @@ def test_hll_registers_match_shadow():
     s.insert_all(stream)
     shadow = shadow_from_stream(stream, s.m, seed=5)
     hll_cells, _ = derive_cells(shadow)
-    assert s.ranks.values().tolist() == hll_cells
+    assert s._cells()[0].tolist() == hll_cells
 
 
 def test_hll_indicator_values():
@@ -130,8 +130,7 @@ def test_hll_estimate_empty_is_zero():
 def test_hll_estimate_regime_boundary():
     # all registers nonzero but raw below the threshold: falls back to raw
     s = HllSketch(b=4)
-    s.ranks.set_values(np.ones(16, dtype=np.int64))
-    s.resync_term_sum()
+    s._store(np.ones(16, dtype=np.int64), None)
     raw = alpha_m(16) * 16 * 16 * s.indicator()
     assert raw < 2.5 * 16
     est = s.estimate()
@@ -163,17 +162,23 @@ def test_hll_linear_counting_near_exact():
 # ---------------------------------------------------------------------------
 # two-field sketch
 
+def cell(s, j):
+    """(rank, neighbor bit) of cell ``j``."""
+    k, x = s._cells()
+    return int(k[j]), int(x[j])
+
+
 def test_ehll_transitions():
     s = EhllSketch(b=4)
     # fresh cell (0,1): rank 1 is the +1 step
     assert s._insert_bg(2, 1) is True
-    assert (s.ranks.get(2), s.bits.get(2)) == (1, 1)
+    assert cell(s, 2) == (1, 1)
     # fresh cell, rank 3 jumps past the neighbor
     assert s._insert_bg(5, 3) is True
-    assert (s.ranks.get(5), s.bits.get(5)) == (3, 0)
+    assert cell(s, 5) == (3, 0)
     # neighbor coupon fills in, then repeats are silent
     assert s._insert_bg(5, 2) is True
-    assert (s.ranks.get(5), s.bits.get(5)) == (3, 1)
+    assert cell(s, 5) == (3, 1)
     assert s._insert_bg(5, 2) is False
     # rank below k-1 never changes anything
     assert s._insert_bg(5, 1) is False
@@ -192,7 +197,7 @@ def test_ehll_cells_match_shadow():
     s.insert_all(stream)
     shadow = shadow_from_stream(stream, s.m, seed=9)
     _, ehll_cells = derive_cells(shadow)
-    got = list(zip(s.ranks.values().tolist(), s.bits.values().tolist()))
+    got = list(zip(*(a.tolist() for a in s._cells())))
     assert got == ehll_cells
 
 
@@ -209,9 +214,7 @@ def test_change_probability_fresh_and_fixed_state():
     h = HllSketch(b=4)
     assert h.change_probability() == pytest.approx(1.0)
     single = EhllSketch(m=1)
-    single.ranks.set(0, 3)
-    single.bits.set(0, 0)
-    single.resync_term_sum()
+    single._store(np.array([3]), np.array([0]))
     assert single.change_probability() == pytest.approx(3.0 / 8.0)
 
 
