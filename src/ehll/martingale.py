@@ -201,8 +201,8 @@ class MartingaleCounter:
             at, delta = change_deltas(bu, ge, *cells, inner._terms)
             # q before each change: the term sum plus the deltas of the changes before it
             arrivals.append(kept[at])
-            qs.append((inner._sum + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
-            inner._union_batch(bu, ge, *cells)
+            qs.append((inner._term_sum() + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
+            inner._union_batch(bu, ge)
             if hi < len(bucket):  # the cut element: insert()'s scalar step
                 q = inner.change_probability()
                 if inner._insert_bg(int(bucket[hi]), int(geo[hi])):

@@ -8,10 +8,11 @@ their EHS1 payload, real only if each buffer is exactly
 ``ceil(m * width / 8)`` bytes.
 
 Scalar get/set serve the bitmap insert path; ``values()`` /
-``set_values()`` unpack and repack the whole array.  The PCSA bitmap
-lives packed; a rank sketch's state is its int64 cells, which it packs
-with ``set_values()`` only to build its EHS1 payload (a serialize, an
-``==``) and decodes with ``values()`` only on a file load.
+``set_values()`` unpack the whole array and pack it in place.  The PCSA
+bitmap lives packed; a rank sketch's state is its int64 cells, which it
+packs with ``set_values()`` straight into its EHS1 payload (a serialize,
+an ``==``) and decodes with ``values()`` from the payload bytes, which
+an array adopts as its ``buffer``, only on a file load.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
 whole-array codec reads each group of eight as one little-endian 64-bit
 word and shifts register ``i`` of the group by ``i * width``: one
@@ -20,7 +21,8 @@ the scalar layout.
 
 :class:`BitArray` (PCSA bitmaps, neighbor bits) is the width-1 array with a
 byte-wise codec over the same bytes, ``np.unpackbits``/``np.packbits``,
-4-25x faster there, plus the bitmap operations ``set_ones`` and ``or_with``.
+4-25x faster there, plus the bitmap operations ``set_ones`` and ``or_with``,
+which write only the bytes they change.
 
 Arrays are single-writer: concurrent readers are safe only while no
 writer is active, and instances can be handed between threads.
@@ -35,18 +37,27 @@ _WORD = np.dtype("<u8")  # one group of eight registers
 
 
 class PackedRegisterArray:
-    """``m`` unsigned registers of ``width`` bits each, bit-packed."""
+    """``m`` unsigned registers of ``width`` bits each, bit-packed.
+
+    ``buffer``, if given, is adopted as the packed bytes (no copy); else
+    every register starts at 0.
+    """
 
     __slots__ = ("m", "width", "buffer")
 
-    def __init__(self, m: int, width: int):
+    def __init__(self, m: int, width: int, buffer: np.ndarray | None = None):
         if m < 1:
             raise ValueError("register count must be >= 1")
         if not 1 <= width <= 8:
             raise ValueError("register width must be in [1, 8]")
         self.m = m
         self.width = width
-        self.buffer = np.zeros((m * width + 7) // 8, dtype=_U8)
+        size = (m * width + 7) // 8
+        if buffer is None:
+            buffer = np.zeros(size, dtype=_U8)
+        elif buffer.dtype != _U8 or buffer.shape != (size,):
+            raise ValueError(f"{m} registers of {width} bits need {size} bytes")
+        self.buffer = buffer
 
     def get(self, j: int) -> int:
         if not 0 <= j < self.m:
@@ -100,13 +111,13 @@ class PackedRegisterArray:
         return vals
 
     def set_values(self, vals: np.ndarray) -> None:
-        """Repack the whole array from an int array of register values."""
+        """Pack an int array of register values into the buffer, in place."""
         groups, shifts = self._groups()
         lanes = np.zeros((groups, 8), dtype=_WORD)
         lanes.reshape(-1)[:self.m] = self._checked(vals)
         words = np.bitwise_or.reduce(lanes << shifts, axis=1)
         packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
-        self.buffer = packed[:len(self.buffer)]
+        self.buffer[:] = packed[:len(self.buffer)]
 
     def memory_bits(self) -> int:
         """Register payload bits, excluding the constant-size object header."""
@@ -135,10 +146,10 @@ class BitArray(PackedRegisterArray):
 
     __slots__ = ()
 
-    def __init__(self, m: int, fill: int = 0):
+    def __init__(self, m: int, fill: int = 0, buffer: np.ndarray | None = None):
         if fill not in (0, 1):
             raise ValueError("fill must be 0 or 1")
-        super().__init__(m, 1)
+        super().__init__(m, 1, buffer)
         if fill:
             self.buffer[:] = 0xFF
             if m & 7:  # bits beyond m stay zero so buffers compare equal
@@ -163,13 +174,15 @@ class BitArray(PackedRegisterArray):
         return np.unpackbits(self.buffer, count=self.m, bitorder="little").astype(np.int64)
 
     def set_values(self, vals: np.ndarray) -> None:
-        self.buffer = np.packbits(self._checked(vals).astype(bool), bitorder="little")
+        self.buffer[:] = np.packbits(self._checked(vals).astype(bool), bitorder="little")
 
     def set_ones(self, idx: np.ndarray) -> None:
-        """Set the bits at ``idx`` (repeats allowed) to 1."""
-        bits = np.unpackbits(self.buffer, count=self.m, bitorder="little")
-        bits[idx] = 1
-        self.buffer = np.packbits(bits, bitorder="little")
+        """Set the bits at ``idx`` (repeats allowed) to 1, ORing into their bytes in place."""
+        idx = np.asarray(idx)
+        if len(idx) and not (0 <= idx.min() and idx.max() < self.m):
+            raise IndexError(f"bit indices out of range [0, {self.m})")
+        bits = np.left_shift(_U8(1), idx.astype(_U8) & _U8(7))  # uint8, not index-sized
+        np.bitwise_or.at(self.buffer, idx >> 3, bits)
 
     def or_with(self, other: "BitArray") -> None:
         """Word-wise OR merge (used by the bitmap sketch union)."""

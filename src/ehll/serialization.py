@@ -67,7 +67,7 @@ def serialize(sketch) -> bytes:
         if not 0 <= value <= 0xFF:
             raise ValueError(f"{name} {value} does not fit the header byte")
         header.append(value)
-    return bytes(header) + b"".join(part.tobytes() for part in sketch._payload())
+    return b"".join([header, *sketch._payload()])
 
 
 def deserialize(data: bytes):
@@ -89,7 +89,7 @@ def deserialize(data: bytes):
     if b not in PRECISIONS:
         raise SketchFormatError(f"precision {b} out of range {PRECISION_SPAN}")
     seed = int.from_bytes(data[7:15], "little")
-    sketch = SKETCHES[TAG_KINDS[tag]](b=b, seed=seed)
+    sketch = SKETCHES[TAG_KINDS[tag]]._unloaded(b, seed)
     pos = 15 + len(sketch._header)
     if len(data) < pos:
         raise SketchFormatError(f"file shorter than the {sketch.kind} header")

@@ -22,15 +22,19 @@ batch reduction and estimator once, switched by ``neighbor_bit``, over a
 storage codec: plain 6-bit ranks here, a shared base plus 4-bit offsets
 in :mod:`ehll.tailcut`.
 
-Each sketch maintains a compensated running sum of its per-cell
-change-probability terms so ``change_probability()`` is O(1).  A rank
-sketch's state is its cells, int64 arrays; the packed registers the
-memory accounting counts exist only as the EHS1 payload, built by
-``_payload()`` when a file is written (see :class:`_RankSketch`).
+Each rank sketch keeps a compensated running sum of its per-cell
+change-probability terms so ``change_probability()`` is O(1) between
+writes.  A batch write touches only the cells its pairs hit, and a full
+write leaves the sum to be computed from the cells when it is first
+read.  A rank sketch's state is its cells, int64 arrays; the packed
+registers the memory accounting counts exist only as the EHS1 payload,
+built by ``_payload()`` when a file is written (see :class:`_RankSketch`).
 
-Sketches are single-writer.  Reads (``serialize``, ``==``, ``estimate``,
-``merge``) write nothing, so reading or merging one sketch from several
-threads is fine while no thread inserts into it.
+Sketches are single-writer.  ``serialize``, ``==`` and ``merge`` write
+nothing; ``estimate``, ``indicator`` and ``change_probability`` may store
+the term sum a full write left unset, the same value from any reader.
+So reading or merging one sketch from several threads is fine while no
+thread inserts into it.
 """
 
 from __future__ import annotations
@@ -238,6 +242,11 @@ class _SketchBase:
         """
         self._insert_bg_batch(*self.split_tokens(buf, starts, ends))
 
+    @classmethod
+    def _unloaded(cls, b: int, seed: int):
+        """A sketch of precision ``b`` whose state ``_loaded(parts)`` is about to supply."""
+        return cls(b=b, seed=seed)
+
     def memory_bits(self) -> int:
         """EHS1 payload bits, excluding the header: arithmetic, nothing is packed."""
         return sum(n * width for n, width in self._layout())
@@ -287,7 +296,7 @@ class PcsaSketch(_SketchBase):
         return True
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        if len(bucket):  # set_ones repacks the whole bitmap
+        if len(bucket):
             self.bitmaps.set_ones(bucket * self.L + (geo - 1))
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
@@ -306,23 +315,26 @@ class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
     The cells are the sketch's state: the ranks ``_k`` and, with neighbor
-    bits, ``_x``, int64 arrays of ``m``.  The scalar step writes one cell
-    in place; a full write (batch union, merge, TailCut promotion or
-    re-encode) replaces both in ``_store``.  The packed registers exist
-    only in the EHS1 payload: ``_payload()`` packs the stored ranks
-    ``k - base`` into ``_width``-bit registers and the bits into a
-    :class:`BitArray`, and ``_loaded(parts)`` decodes them back.
+    bits, ``_x``, int64 arrays of ``m`` that no other sketch shares.  The
+    scalar step and the batch union (``_union_batch``) write the cells in
+    place, touching only the cells their pairs hit; a full write (merge,
+    TailCut promotion or re-encode, file load) replaces both in
+    ``_derive``.  The packed registers exist only in the EHS1 payload:
+    ``_payload()`` packs the stored ranks ``k - base`` into
+    ``_width``-bit registers and the bits into a :class:`BitArray`, and
+    ``_loaded(parts)`` decodes them back.
 
     A codec supplies ``_width`` (bits per stored rank) and ``base`` (what
     a stored rank counts from) and may refine ``_clamp``,
-    ``_term``/``_terms``, ``_after_insert``, ``_derive``, ``_load``,
-    ``_run_end``, ``_loaded`` and ``_cells_and_sum``.  State computed
-    from the cells (the term sum, TailCut's ``_zero_offsets``) moves only
-    incrementally in the scalar step and exactly in ``_derive``, which
-    ends every full write, every file load and ``resync_term_sum``.  Here
-    ``_terms`` is :func:`cell_terms`, so until the next scalar step the
-    ``_derive`` sum is the estimator's sum, bit for bit (``_sum_exact``);
-    a codec whose ``_terms`` differ overrides ``_cells_and_sum``.
+    ``_term``/``_terms``, ``_after_insert``, ``_union_batch``,
+    ``_derive``, ``_load``, ``_run_end``, ``_loaded`` and
+    ``_cells_and_sum``.  The term sum moves incrementally in the scalar
+    step; a batch union or a full write leaves it unset (``_sum`` is
+    None) and ``_term_sum()`` computes it from the cells when it is next
+    read.  Here ``_terms`` is :func:`cell_terms`, so until the next
+    scalar step that sum is the estimator's sum, bit for bit
+    (``_sum_exact``); a codec whose ``_terms`` differ overrides
+    ``_cells_and_sum``.
     """
 
     neighbor_bit = False
@@ -331,10 +343,14 @@ class _RankSketch(_SketchBase):
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
-        self._k = np.zeros(self.m, dtype=np.int64)
-        self._x = np.ones(self.m, dtype=np.int64) if self.neighbor_bit else None
-        # every empty cell's term is 1; the scalar step moves the sum, Kahan-compensated
-        self._sum, self._sum_err, self._sum_exact = float(self.m), 0.0, True
+        self._derive(np.zeros(self.m, dtype=np.int64),
+                     np.ones(self.m, dtype=np.int64) if self.neighbor_bit else None)
+
+    @classmethod
+    def _unloaded(cls, b: int, seed: int):
+        sketch = cls.__new__(cls)
+        _SketchBase.__init__(sketch, b=b, seed=seed)  # no empty cells: the payload has them
+        return sketch
 
     def effective_values(self) -> np.ndarray:
         """Stored rank of every cell (a copy)."""
@@ -343,16 +359,16 @@ class _RankSketch(_SketchBase):
     def _layout(self) -> tuple[tuple[int, int], ...]:
         return ((self.m, self._width),) + (((self.m, 1),) if self.neighbor_bit else ())
 
-    def _codecs(self) -> list[PackedRegisterArray]:
-        """Empty packed arrays in payload order: the stored ranks, then the bits."""
-        return [BitArray(n) if width == 1 else PackedRegisterArray(n, width)
-                for n, width in self._layout()]
+    def _codecs(self, parts: list[np.ndarray]) -> list[PackedRegisterArray]:
+        """The payload arrays over their packed bytes ``parts``, in payload order."""
+        return [BitArray(n, buffer=part) if width == 1 else PackedRegisterArray(n, width, part)
+                for (n, width), part in zip(self._layout(), parts)]
 
     def _payload(self) -> list[np.ndarray]:
-        arrays = self._codecs()
-        for array, cells in zip(arrays, (self._k - self.base, self._x)):
-            array.set_values(cells)
-        return [array.buffer for array in arrays]
+        parts = [np.empty((n * width + 7) // 8, dtype=np.uint8) for n, width in self._layout()]
+        for array, cells in zip(self._codecs(parts), (self._k - self.base, self._x)):
+            array.set_values(cells)  # packs into its part
+        return parts
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         return k, x
@@ -371,10 +387,17 @@ class _RankSketch(_SketchBase):
     def _cells(self) -> tuple[np.ndarray, np.ndarray | None]:
         return self._k, self._x
 
+    def _term_sum(self) -> float:
+        """The running term sum, computed exactly from the cells if a write left it unset."""
+        if self._sum is None:
+            self._sum_err, self._sum_exact = 0.0, True  # set first: a reader may see _sum
+            self._sum = float(self._terms(self._k, self._x).sum())
+        return self._sum
+
     def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """Every cell and the sum of its :func:`cell_terms`: the ``_derive`` sum while exact."""
-        k, x = self._k, self._x
-        return k, x, self._sum if self._sum_exact else float(cell_terms(k, x).sum())
+        """Every cell and the sum of its :func:`cell_terms`: the ``_term_sum()`` while exact."""
+        k, x, total = self._k, self._x, self._term_sum()
+        return k, x, total if self._sum_exact else float(cell_terms(k, x).sum())
 
     def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
         """Make ``(k, x)`` the cells."""
@@ -398,14 +421,15 @@ class _RankSketch(_SketchBase):
             return False
         if new_k == k and new_x == x:
             return False  # a saturated cell cannot move further
+        total = self._term_sum()  # of the cells before this step
         old_term = self._term(k, x)
         self._k[bucket] = new_k
         if self.neighbor_bit:
             self._x[bucket] = new_x
         self._sum_exact = False
         y = self._term(new_k, new_x) - old_term - self._sum_err
-        t = self._sum + y
-        self._sum_err = (t - self._sum) - y
+        t = total + y
+        self._sum_err = (t - total) - y
         self._sum = t
         self._after_insert(k, new_k)
         return True
@@ -427,29 +451,36 @@ class _RankSketch(_SketchBase):
             lo = hi + 1
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        for lo, hi, cells in self._runs(bucket, geo):
-            self._union_batch(bucket[lo:hi], geo[lo:hi], *cells)
+        for lo, hi, _ in self._runs(bucket, geo):
+            self._union_batch(bucket[lo:hi], geo[lo:hi])
             if hi < len(bucket):
                 self._insert_bg(int(bucket[hi]), int(geo[hi]))
 
-    def _union_batch(self, bucket: np.ndarray, geo: np.ndarray,
-                     k0: np.ndarray, x0: np.ndarray | None) -> None:
-        """Union an order-free run of pairs into the current cells ``(k0, x0)``."""
-        k = np.zeros(self.m, dtype=np.int64)
-        np.maximum.at(k, bucket, geo)
-        x = None
-        if self.neighbor_bit:
-            # a rank one below its cell's max proves the neighbor coupon
-            x = np.zeros(self.m, dtype=np.int64)
-            x[bucket[geo == k[bucket] - 1]] = 1
-            x[k <= 1] = 1
-        self._store(*self._union(k0, x0, k, x))
+    def _union_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        """Union an order-free run of pairs into the cells it hits, in place.
+
+        The result is :func:`merge_ehll_cells` of the cells and the run's own cells.
+        """
+        k, x = self._k, self._x
+        if x is None:
+            np.maximum.at(k, bucket, geo)
+        else:
+            # ranks fit a byte, so the gathers keep index-sized temporaries small
+            old = k[bucket].astype(np.uint8)
+            np.maximum.at(k, bucket, geo)
+            new = k[bucket].astype(np.uint8)
+            # a grown max holds its neighbor if it grew by one from a nonempty cell;
+            # a rank one below the new max proves it (``new - 1`` wraps only at 0,
+            # where ``new <= 1`` holds), and ranks 0 and 1 have none to miss
+            grew = new > old
+            x[bucket[grew]] = ((new == old + 1) & (old > 0))[grew]
+            x[bucket[(geo == new - 1) | (new <= 1)]] = 1
+        self._sum = None
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:
-        arrays = self._codecs()
-        for array, part in zip(arrays, parts):
-            array.buffer = part
-        k = arrays[0].values() + self.base
+        arrays = self._codecs(parts)
+        k = arrays[0].values()
+        k += self.base
         x = arrays[1].values() if self.neighbor_bit else None
         self._derive(k, x)
         bad = k > self.width + 1
@@ -463,17 +494,16 @@ class _RankSketch(_SketchBase):
 
     def change_probability(self) -> float:
         """Probability that inserting a new distinct element changes the sketch."""
-        return self._sum / self.m
+        return self._term_sum() / self.m
 
     def resync_term_sum(self) -> None:
         """Recompute the term sum exactly from the cells."""
         self._derive(self._k, self._x)
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Make ``(k, x)`` the cells and rebuild what is computed from them: the exact term sum."""
+        """Make ``(k, x)`` the cells and unset what is computed from them: the term sum."""
         self._k, self._x = k, x
-        self._sum, self._sum_err = float(self._terms(k, x).sum()), 0.0
-        self._sum_exact = True
+        self._sum = None
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         return _estimate(self.m, *self._cells_and_sum(), asymptotic)

@@ -24,9 +24,11 @@ last zero offset lifts; under a fixed base only a rank above the ceiling
 ``base + 15`` can clamp.  So order matters at two kinds of element, and
 ``_run_end``, given the cells the run walker read, ends a run at the
 first of them: the element that lifts the last zero offset, or a rank
-above the ceiling.  The run goes in with the vectorized union, whose
-write ends in ``_derive``, the one recount of the zero offsets; that
-element goes in alone.  Batch and sequential inserts are bit-identical.
+above the ceiling.  The run goes in with the in-place union of the
+plain codec, since under a fixed base and no clamp the offsets are the
+ranks less the base; the zero offsets are recounted only when the run
+lifted one of them.  That element goes in alone.  Batch and sequential
+inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -47,13 +49,15 @@ class _TailCutBase(_RankSketch):
     _header = ("base",)
     _width = OFFSET_WIDTH
 
-    def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
-        super().__init__(b, m, seed)
-        self._zero_offsets = self.m
-
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
         super()._derive(k, x)
         self._zero_offsets = int(np.count_nonzero(k == self.base))
+
+    def _union_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
+        lifts = ((geo > self.base) & (self._k[bucket] == self.base)).any()
+        super()._union_batch(bucket, geo)
+        if lifts:
+            self._zero_offsets = int(np.count_nonzero(self._k == self.base))
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         if k - self.base > OFFSET_MAX:
