@@ -10,9 +10,8 @@ their EHS1 payload, real only if each buffer is exactly
 Scalar get/set serve the bitmap insert path; ``values()`` /
 ``set_values()`` unpack the whole array and pack it in place.  The PCSA
 bitmap lives packed; a rank sketch's state is its int64 cells, which it
-packs with ``set_values()`` straight into its EHS1 payload (a serialize,
-an ``==``) and decodes with ``values()`` from the payload bytes, which
-an array adopts as its ``buffer``, only on a file load.
+packs with ``set_values()`` only to build its EHS1 payload (a serialize,
+an ``==``) and decodes with ``values()`` only on a file load.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
 whole-array codec reads each group of eight as one little-endian 64-bit
 word and shifts register ``i`` of the group by ``i * width``: one
@@ -37,27 +36,18 @@ _WORD = np.dtype("<u8")  # one group of eight registers
 
 
 class PackedRegisterArray:
-    """``m`` unsigned registers of ``width`` bits each, bit-packed.
-
-    ``buffer``, if given, is adopted as the packed bytes (no copy); else
-    every register starts at 0.
-    """
+    """``m`` unsigned registers of ``width`` bits each, bit-packed."""
 
     __slots__ = ("m", "width", "buffer")
 
-    def __init__(self, m: int, width: int, buffer: np.ndarray | None = None):
+    def __init__(self, m: int, width: int):
         if m < 1:
             raise ValueError("register count must be >= 1")
         if not 1 <= width <= 8:
             raise ValueError("register width must be in [1, 8]")
         self.m = m
         self.width = width
-        size = (m * width + 7) // 8
-        if buffer is None:
-            buffer = np.zeros(size, dtype=_U8)
-        elif buffer.dtype != _U8 or buffer.shape != (size,):
-            raise ValueError(f"{m} registers of {width} bits need {size} bytes")
-        self.buffer = buffer
+        self.buffer = np.zeros((m * width + 7) // 8, dtype=_U8)
 
     def get(self, j: int) -> int:
         if not 0 <= j < self.m:
@@ -146,10 +136,10 @@ class BitArray(PackedRegisterArray):
 
     __slots__ = ()
 
-    def __init__(self, m: int, fill: int = 0, buffer: np.ndarray | None = None):
+    def __init__(self, m: int, fill: int = 0):
         if fill not in (0, 1):
             raise ValueError("fill must be 0 or 1")
-        super().__init__(m, 1, buffer)
+        super().__init__(m, 1)
         if fill:
             self.buffer[:] = 0xFF
             if m & 7:  # bits beyond m stay zero so buffers compare equal

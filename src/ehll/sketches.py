@@ -359,16 +359,16 @@ class _RankSketch(_SketchBase):
     def _layout(self) -> tuple[tuple[int, int], ...]:
         return ((self.m, self._width),) + (((self.m, 1),) if self.neighbor_bit else ())
 
-    def _codecs(self, parts: list[np.ndarray]) -> list[PackedRegisterArray]:
-        """The payload arrays over their packed bytes ``parts``, in payload order."""
-        return [BitArray(n, buffer=part) if width == 1 else PackedRegisterArray(n, width, part)
-                for (n, width), part in zip(self._layout(), parts)]
+    def _codecs(self) -> list[PackedRegisterArray]:
+        """Empty packed arrays in payload order: the stored ranks, then the bits."""
+        return [BitArray(n) if width == 1 else PackedRegisterArray(n, width)
+                for n, width in self._layout()]
 
     def _payload(self) -> list[np.ndarray]:
-        parts = [np.empty((n * width + 7) // 8, dtype=np.uint8) for n, width in self._layout()]
-        for array, cells in zip(self._codecs(parts), (self._k - self.base, self._x)):
-            array.set_values(cells)  # packs into its part
-        return parts
+        arrays = self._codecs()
+        for array, cells in zip(arrays, (self._k - self.base, self._x)):
+            array.set_values(cells)  # packs in place: the buffer is the payload part
+        return [array.buffer for array in arrays]
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         return k, x
@@ -390,7 +390,6 @@ class _RankSketch(_SketchBase):
     def _term_sum(self) -> float:
         """The running term sum, computed exactly from the cells if a write left it unset."""
         if self._sum is None:
-            self._sum_err, self._sum_exact = 0.0, True  # set first: a reader may see _sum
             self._sum = float(self._terms(self._k, self._x).sum())
         return self._sum
 
@@ -475,10 +474,12 @@ class _RankSketch(_SketchBase):
             grew = new > old
             x[bucket[grew]] = ((new == old + 1) & (old > 0))[grew]
             x[bucket[(geo == new - 1) | (new <= 1)]] = 1
-        self._sum = None
+        self._sum, self._sum_err, self._sum_exact = None, 0.0, True
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:
-        arrays = self._codecs(parts)
+        arrays = self._codecs()
+        for array, part in zip(arrays, parts):
+            array.buffer = part
         k = arrays[0].values()
         k += self.base
         x = arrays[1].values() if self.neighbor_bit else None
@@ -503,7 +504,7 @@ class _RankSketch(_SketchBase):
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
         """Make ``(k, x)`` the cells and unset what is computed from them: the term sum."""
         self._k, self._x = k, x
-        self._sum = None
+        self._sum, self._sum_err, self._sum_exact = None, 0.0, True
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         return _estimate(self.m, *self._cells_and_sum(), asymptotic)
