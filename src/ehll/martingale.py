@@ -195,7 +195,13 @@ class MartingaleCounter:
         if len(geo) and not (1 <= geo.min() and geo.max() <= inner.width + 1):
             raise ValueError(f"ranks must lie in [1, {inner.width + 1}]")
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for lo, hi, cells in inner._runs(bucket, geo):
+        for lo, hi, cells in inner._runs(bucket, geo, reads_q=True):
+            if hi == lo:  # a cut element: insert()'s scalar step
+                q = inner.change_probability()
+                if inner._insert_bg(int(bucket[lo]), int(geo[lo])):
+                    arrivals.append([lo])
+                    qs.append([q])
+                continue
             kept = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit) + lo
             bu, ge = bucket[kept], geo[kept]
             at, delta = change_deltas(bu, ge, *cells, inner._terms)
@@ -203,11 +209,6 @@ class MartingaleCounter:
             arrivals.append(kept[at])
             qs.append((inner._term_sum() + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
             inner._union_batch(bu, ge)
-            if hi < len(bucket):  # the cut element: insert()'s scalar step
-                q = inner.change_probability()
-                if inner._insert_bg(int(bucket[hi]), int(geo[hi])):
-                    arrivals.append([hi])
-                    qs.append([q])
         q = np.concatenate(qs)
         # accumulated from the running values, in order, as insert() adds them
         e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()

@@ -109,41 +109,23 @@ class PackedRegisterArray:
         packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
         self.buffer[:] = packed[:len(self.buffer)]
 
-    def memory_bits(self) -> int:
-        """Register payload bits, excluding the constant-size object header."""
-        return self.m * self.width
-
     def copy(self) -> "PackedRegisterArray":
         dup = type(self).__new__(type(self))
         dup.m, dup.width = self.m, self.width
         dup.buffer = self.buffer.copy()
         return dup
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PackedRegisterArray)
-            and self.m == other.m
-            and self.width == other.width
-            and np.array_equal(self.buffer, other.buffer)
-        )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, width={self.width})"
 
 
 class BitArray(PackedRegisterArray):
-    """``m`` single-bit registers with a byte-wise codec; ``fill`` sets them all."""
+    """``m`` single-bit registers with a byte-wise codec."""
 
     __slots__ = ()
 
-    def __init__(self, m: int, fill: int = 0):
-        if fill not in (0, 1):
-            raise ValueError("fill must be 0 or 1")
+    def __init__(self, m: int):
         super().__init__(m, 1)
-        if fill:
-            self.buffer[:] = 0xFF
-            if m & 7:  # bits beyond m stay zero so buffers compare equal
-                self.buffer[-1] = (1 << (m & 7)) - 1
 
     def get(self, j: int) -> int:
         if not 0 <= j < self.m:

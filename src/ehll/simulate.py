@@ -14,10 +14,12 @@ for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
 Trials are vectorized: each trial feeds the production sketch one stream
 segment per checkpoint through the batch path, whose cost is linear in
-the segment plus the register count.  A trial neither decodes nor packs
-a register: batches, scalar steps and estimates work on the cells the
-sketch owns, which are packed only when something reads the bytes, and
-a trial reads none.  A martingale trial
+the segment, and reads the estimate, one sum of table-looked-up terms
+over the cells.  A TailCut batch steps alone only at a clamp and
+promotes its base at most once per run.  A trial neither decodes nor
+packs a register: batches, scalar steps and estimates work on the cells
+the sketch owns, which are packed only when something reads the bytes,
+and a trial reads none.  A martingale trial
 feeds its whole stream to a :class:`~ehll.martingale.MartingaleCounter`
 as one block, which returns E and V after each state change (a few
 thousand per trial), and reads the checkpoints off that trace; the

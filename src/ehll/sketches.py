@@ -95,12 +95,21 @@ def _resolve_size(b: int | None, m: int | None) -> int:
 # ---------------------------------------------------------------------------
 # the cell rule on explicit arrays
 
+# ``2^-k (3 - 2x)`` at ``2k + x``, for every rank a 6-bit register holds: each a
+# power of two or three times one, so a lookup is the product ``exp2(-k) * (3 - 2x)``
+_TERMS = np.array([math.ldexp(3 - 2 * x, -k)
+                   for k in range(1 << REGISTER_WIDTH) for x in (0, 1)])
+
+
 def cell_terms(k: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell change-probability terms ``2^-k (3 - 2x)``; ``2^-k`` without bits."""
-    terms = np.exp2(-np.asarray(k, dtype=float))
-    if x is not None:
-        terms *= 3.0 - 2.0 * np.asarray(x, dtype=float)
-    return terms
+    """Per-cell change-probability terms ``2^-k (3 - 2x)``; ``2^-k`` without bits.
+
+    Integer cells index an exact table of the terms, so a rank past the
+    largest a register holds raises IndexError.
+    """
+    if x is None:
+        return _TERMS[1::2][k]
+    return _TERMS[2 * np.asarray(k) + np.asarray(x)]
 
 
 def cell_indicator(k: np.ndarray, x: np.ndarray | None = None) -> float:
@@ -433,27 +442,39 @@ class _RankSketch(_SketchBase):
         self._after_insert(k, new_k)
         return True
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray) -> int:
-        """Length of the leading order-free run over the ranks ``k``: all, for the plain rule."""
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray,
+                 reads_q: bool) -> int:
+        """Length of the leading order-free run over the ranks ``k``: all, for the plain rule.
+
+        0 means the first pair goes in alone.  ``reads_q`` says the caller
+        reads the change probability between pairs, so a run must also
+        leave every term it does not hit unchanged; here a term depends
+        on its own cell only.
+        """
         return len(bucket)
 
-    def _runs(self, bucket: np.ndarray, geo: np.ndarray):
-        """Yield ``(lo, hi, cells)``: ``[lo, hi)`` is order-free on ``cells``, then pair ``hi``.
+    def _runs(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool = False):
+        """Yield ``(lo, hi, cells)``: ``[lo, hi)`` is order-free on ``cells``, or empty.
 
-        The caller applies both before resuming; the next run's cells are read from the state left.
+        An empty run means pair ``lo`` goes in alone.  The caller applies
+        it before resuming, and the next run is found in the state left: a
+        pair that a run's own writes made order-free (a TailCut rank that
+        a promotion brought under the ceiling) joins it.  ``reads_q`` is
+        :meth:`_run_end`'s.
         """
         lo, n = 0, len(bucket)
         while lo < n:
             cells = self._cells()
-            hi = lo + self._run_end(bucket[lo:], geo[lo:], cells[0])
+            hi = lo + self._run_end(bucket[lo:], geo[lo:], cells[0], reads_q)
             yield lo, hi, cells
-            lo = hi + 1
+            lo = max(hi, lo + 1)
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         for lo, hi, _ in self._runs(bucket, geo):
-            self._union_batch(bucket[lo:hi], geo[lo:hi])
-            if hi < len(bucket):
-                self._insert_bg(int(bucket[hi]), int(geo[hi]))
+            if hi == lo:
+                self._insert_bg(int(bucket[lo]), int(geo[lo]))
+            else:
+                self._union_batch(bucket[lo:hi], geo[lo:hi])
 
     def _union_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
         """Union an order-free run of pairs into the cells it hits, in place.

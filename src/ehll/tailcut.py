@@ -19,16 +19,21 @@ bit.  When a clamp actually truncates a cell's rank, the neighbor bit is
 stored as 0: the bit would describe the rank just below the *stored*
 ceiling, and no such evidence was retained.
 
-Cells interact only through the base, and the base moves only when the
-last zero offset lifts; under a fixed base only a rank above the ceiling
-``base + 15`` can clamp.  So order matters at two kinds of element, and
-``_run_end``, given the cells the run walker read, ends a run at the
-first of them: the element that lifts the last zero offset, or a rank
-above the ceiling.  The run goes in with the in-place union of the
-plain codec, since under a fixed base and no clamp the offsets are the
-ranks less the base; the zero offsets are recounted only when the run
-lifted one of them.  That element goes in alone.  Batch and sequential
-inserts are bit-identical.
+Cells interact only through the base, which only rises, so only a rank
+above the ceiling ``base + 15`` at a run's start can clamp, under that
+base or any later one.  ``_run_end``, given the cells the run walker
+read, ends a plain batch's run at the first such rank, which goes in
+alone through the scalar step.  The run goes in with the in-place union
+of the plain codec: its cells are the plain union, and since the base of
+any insert sequence is the minimum cell, promoting once if the union
+left no zero offset ends in the state of the sequential inserts.  The
+zero offsets are recounted only when the run lifted one of them.
+
+The martingale reads ``q`` between pairs, and a saturated cell's term
+moves with the base, so for it order matters at a second kind of
+element: the one that lifts the last zero offset.  With ``reads_q`` the
+run also ends there and that element goes in alone, promoting the base.
+Batch and sequential inserts are bit-identical.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class _TailCutBase(_RankSketch):
         super()._union_batch(bucket, geo)
         if lifts:
             self._zero_offsets = int(np.count_nonzero(self._k == self.base))
+            if not self._zero_offsets:  # inserts leave the base at the minimum cell
+                self._promote_base()
 
     def _clamp(self, k: int, x: int) -> tuple[int, int]:
         if k - self.base > OFFSET_MAX:
@@ -81,8 +88,7 @@ class _TailCutBase(_RankSketch):
         if x is None:
             terms[sat] = 0.0
         else:
-            ks = k[sat].astype(float)
-            terms[sat] = np.where(x[sat] == 1, np.exp2(-ks), np.exp2(-(ks - 1)))
+            terms[sat] = cell_terms(k[sat] + x[sat] - 1)  # 2^-k, or 2^-(k-1) with bit 0
         return terms
 
     def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
@@ -111,12 +117,14 @@ class _TailCutBase(_RankSketch):
         self.base, offs, truncated = self._encode_effective(k)
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray) -> int:
-        # under this base only a rank above the ceiling can clamp
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray,
+                 reads_q: bool) -> int:
+        # only a rank above the ceiling can clamp, under this base or any later one
         above = np.flatnonzero(geo > self.base + OFFSET_MAX)
         end = int(above[0]) if len(above) else len(bucket)
-        # the base holds until every zero-offset cell has been lifted
-        if end >= self._zero_offsets:  # each element lifts at most one
+        # a saturated cell's term moves with the base, which holds until every
+        # zero-offset cell has been lifted
+        if reads_q and end >= self._zero_offsets:  # each element lifts at most one
             zero = k == self.base
             up = np.flatnonzero((geo[:end] > self.base) & zero[bucket[:end]])
             first_lift = np.full(self.m, end)

@@ -121,8 +121,8 @@ def test_tailcut_reads_its_offsets_once_per_load_and_per_run(kind, monkeypatch):
     deserialize(data)
     assert len(reads) == 1
     runs = count_calls(monkeypatch, _TailCutBase, "_run_end")
-    # cell 0 keeps its zero offset, so the base holds and every run scans for lifts;
-    # the three ranks above the ceiling cut the batch into four runs
+    # cell 0 keeps its zero offset, so the base holds and every martingale run scans
+    # for lifts; the three ranks above the ceiling go in alone between three runs
     bucket = np.arange(300) % 15 + 1
     geo = np.full(300, 3)
     geo[[50, 120, 121]] = 20
@@ -130,7 +130,7 @@ def test_tailcut_reads_its_offsets_once_per_load_and_per_run(kind, monkeypatch):
         for calls in (reads, writes, runs):
             calls.clear()
         walk(bucket, geo)
-        assert (len(reads), len(writes), len(runs)) == (0, 0, 4)
+        assert (len(reads), len(writes), len(runs)) == (0, 0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +333,35 @@ def test_tailcut_batch_across_base_promotions(kind):
             bat._insert_bg_batch(bucket[lo:hi], geo[lo:hi])
         assert bat == seq and bat.base == seq.base > 3
         assert bat._zero_offsets == seq._zero_offsets
+
+
+@pytest.mark.parametrize("kind", ["hll-tc", "ehll-tc"])
+def test_a_plain_tailcut_batch_steps_only_at_clamps(kind, monkeypatch):
+    """One batch across many promotions takes a scalar step at each clamp and nowhere else."""
+    rng = np.random.default_rng(11)
+    cls = SKETCHES[kind]
+    m, n = 16, 4000
+    bucket = rng.integers(0, m, n)
+    geo = rng.geometric(0.5, n)
+    spike = rng.random(n) < 0.01
+    geo[spike] = rng.integers(12, 40, int(spike.sum()))
+    seq, clamps, promotions = cls(m=m), [], set()
+    for i, (j, g) in enumerate(zip(bucket.tolist(), geo.tolist())):
+        base = seq.base
+        if g > base + OFFSET_MAX:
+            clamps.append(i)
+        seq._insert_bg(j, g)
+        if seq.base != base:
+            promotions.add(i)
+    assert len(clamps) > 10 and len(promotions - set(clamps)) > 5
+    steps = []
+    step = cls._insert_bg
+    monkeypatch.setattr(cls, "_insert_bg", lambda s, j, g: steps.append((j, g)) or step(s, j, g))
+    bat = cls(m=m)
+    bat._insert_bg_batch(bucket, geo)
+    assert steps == list(zip(bucket[clamps].tolist(), geo[clamps].tolist()))
+    assert bat == seq and bat.base == seq.base
+    assert bat._zero_offsets == seq._zero_offsets
 
 
 # ---------------------------------------------------------------------------

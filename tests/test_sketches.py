@@ -14,9 +14,12 @@ from ehll.sketches import (
     EhllSketch,
     HllSketch,
     PcsaSketch,
+    REGISTER_WIDTH,
     cell_indicator,
+    cell_terms,
     estimate_bitmap,
 )
+from ehll.tailcut import OFFSET_MAX
 
 
 def _random_stream(rng, n):
@@ -111,6 +114,48 @@ def test_hll_registers_match_shadow():
     shadow = shadow_from_stream(stream, s.m, seed=5)
     hll_cells, _ = derive_cells(shadow)
     assert s._cells()[0].tolist() == hll_cells
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("shape", [dict(b=4), dict(b=10), dict(b=14), dict(b=18), dict(m=1)])
+def test_cell_terms_are_the_exact_products(shape):
+    # every rank the hash can give at this size, both bits, bit for bit
+    k = np.arange(EhllSketch(**shape).width + 2)
+    for kind in ("ehll", "hll", "ehll-tc", "hll-tc"):
+        s = SKETCHES[kind](**shape)
+        below = OFFSET_MAX if kind.endswith("-tc") else len(k)  # the unsaturated ranks
+        for x in (0, 1) if s.neighbor_bit else (1,):
+            got = cell_terms(k, np.full(len(k), x)) if s.neighbor_bit else cell_terms(k)
+            assert _bits(got) == _bits(np.exp2(-k.astype(float)) * (3.0 - 2.0 * x))
+            assert _bits(got[:below]) == _bits([s._term(r, x) for r in k[:below].tolist()])
+    # TailCut's saturated cells, at every base that leaves the ceiling a rank
+    for kind in ("ehll-tc", "hll-tc"):
+        s = SKETCHES[kind](**shape)
+        for base in range(k[-1] - OFFSET_MAX + 1):
+            s.base = base
+            sat = np.full(2, base + OFFSET_MAX)
+            x = np.array([0, 1])
+            want = [s._term(base + OFFSET_MAX, 0), s._term(base + OFFSET_MAX, 1)]
+            assert _bits(s._terms(sat, x if s.neighbor_bit else None)) == _bits(want)
+            if s.neighbor_bit:  # a larger rank, or with bit 0 also rank k - 1, changes it
+                assert _bits(want) == _bits(np.exp2(-np.array([base + 14.0, base + 15.0])))
+            else:
+                assert want == [0.0, 0.0]
+
+
+def test_cell_terms_refuse_a_rank_past_the_table():
+    past = 1 << REGISTER_WIDTH  # the smallest rank a register cannot hold
+    assert cell_terms([past - 1]).tolist() == [2.0 ** -(past - 1)]
+    for k in ([past], [past, 3], [10 * past]):
+        with pytest.raises(IndexError):
+            cell_terms(k)
+        with pytest.raises(IndexError):
+            cell_terms(k, [0] * len(k))
+        with pytest.raises(IndexError):
+            cell_terms(k, [1] * len(k))
 
 
 def test_hll_indicator_values():
