@@ -13,21 +13,23 @@ payload bits within one register of rounding: two-field kinds keep
 for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
 Trials are vectorized: each trial feeds the production sketch one stream
-segment per checkpoint through the batch path, whose cost is linear in
-the segment, and reads the estimate, one sum of table-looked-up terms
-over the cells.  A TailCut batch steps alone only at a clamp and
-promotes its base at most once per run.  A trial neither decodes nor
-packs a register: batches, scalar steps and estimates work on the cells
-the sketch owns, which are packed only when something reads the bytes,
-and a trial reads none.  A martingale trial
-feeds its whole stream to a :class:`~ehll.martingale.MartingaleCounter`
-as one block, which returns E and V after each state change (a few
-thousand per trial), and reads the checkpoints off that trace; the
-counter's block path is tested against the element-at-a-time counter.
-The block path scans and unions only the pairs that can change a cell
-(a rank not below its cell's max at the start of an 8,192-pair chunk,
-less one with neighbor bits), a sixth to a tenth of the pairs at
-n = 10^5.
+segment per checkpoint through the batch path, and reads the estimate,
+one sum of table-looked-up terms over the cells.  A segment shorter
+than ``m`` costs its length; a longer one, such as the 2,000 pairs of a
+checkpoint at n = 10^5 and m = 1024, also takes a few passes over the
+cells to set the neighbor bits, cheaper than masks over its pairs.  A
+TailCut batch steps alone only at a clamp and promotes its base at most
+once per run.  A trial neither decodes nor packs a register: batches,
+scalar steps and estimates work on the cells the sketch owns, which are
+packed only when something reads the bytes, and a trial reads none.  A
+martingale trial feeds its whole stream to a
+:class:`~ehll.martingale.MartingaleCounter` as one block, which returns
+E and V after each state change (a few thousand per trial), and reads
+the checkpoints off that trace; the counter's block path is tested
+against the element-at-a-time counter.  The block path scans and
+unions only the pairs that can change a cell (a rank not below its
+cell's max at the start of an 8,192-pair chunk, less one with neighbor
+bits), a sixth to a tenth of the pairs at n = 10^5.
 
 A trial's stream, hashes and (bucket, rank) pairs come from the in-place
 array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived

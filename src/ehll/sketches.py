@@ -24,11 +24,14 @@ in :mod:`ehll.tailcut`.
 
 Each rank sketch keeps a compensated running sum of its per-cell
 change-probability terms so ``change_probability()`` is O(1) between
-writes.  A batch write touches only the cells its pairs hit, and a full
-write leaves the sum to be computed from the cells when it is first
-read.  A rank sketch's state is its cells, int64 arrays; the packed
-registers the memory accounting counts exist only as the EHS1 payload,
-built by ``_payload()`` when a file is written (see :class:`_RankSketch`).
+writes.  A batch write costs its batch while it is shorter than ``m``:
+it touches only the cells its pairs hit.  A batch of ``m`` pairs or more
+also makes a few passes over the whole cell array, which then cost less
+than per-pair masks.  A batch or full write leaves the sum to be
+computed from the cells when it is first read.  A rank sketch's state
+is its cells, int64 arrays; the packed registers the memory accounting
+counts exist only as the EHS1 payload, built by ``_payload()`` when a
+file is written (see :class:`_RankSketch`).
 
 Sketches are single-writer.  ``serialize``, ``==`` and ``merge`` write
 nothing; ``estimate``, ``indicator`` and ``change_probability`` may store
@@ -326,12 +329,13 @@ class _RankSketch(_SketchBase):
     The cells are the sketch's state: the ranks ``_k`` and, with neighbor
     bits, ``_x``, int64 arrays of ``m`` that no other sketch shares.  The
     scalar step and the batch union (``_union_batch``) write the cells in
-    place, touching only the cells their pairs hit; a full write (merge,
-    TailCut promotion or re-encode, file load) replaces both in
-    ``_derive``.  The packed registers exist only in the EHS1 payload:
-    ``_payload()`` packs the stored ranks ``k - base`` into
-    ``_width``-bit registers and the bits into a :class:`BitArray`, and
-    ``_loaded(parts)`` decodes them back.
+    place: the scalar step and a run of fewer than ``m`` pairs touch only
+    the cells they hit, and a longer run sets the neighbor bits in passes
+    over the whole array.  A full write (merge, TailCut promotion or
+    re-encode, file load) replaces both in ``_derive``.  The packed
+    registers exist only in the EHS1 payload: ``_payload()`` packs the
+    stored ranks ``k - base`` into ``_width``-bit registers and the bits
+    into a :class:`BitArray`, and ``_loaded(parts)`` decodes them back.
 
     A codec supplies ``_width`` (bits per stored rank) and ``base`` (what
     a stored rank counts from) and may refine ``_clamp``,
@@ -477,24 +481,34 @@ class _RankSketch(_SketchBase):
                 self._union_batch(bucket[lo:hi], geo[lo:hi])
 
     def _union_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        """Union an order-free run of pairs into the cells it hits, in place.
+        """Union an order-free run of pairs into the cells, in place.
 
-        The result is :func:`merge_ehll_cells` of the cells and the run's own cells.
+        The result is :func:`merge_ehll_cells` of the cells and the run's
+        own cells.  A run of fewer than ``m`` pairs touches only the cells
+        it hits, through gathers and scatters of its own length; a longer
+        run sets the neighbor bits with a few passes over the whole array,
+        cheaper there than masks over its pairs.  Both rest on the rule's
+        own invariant that a cell of rank 0 or 1 holds bit 1.
         """
         k, x = self._k, self._x
         if x is None:
             np.maximum.at(k, bucket, geo)
-        else:
-            # ranks fit a byte, so the gathers keep index-sized temporaries small
-            old = k[bucket].astype(np.uint8)
+        elif len(bucket) >= self.m:
+            old = k.copy()
             np.maximum.at(k, bucket, geo)
-            new = k[bucket].astype(np.uint8)
-            # a grown max holds its neighbor if it grew by one from a nonempty cell;
-            # a rank one below the new max proves it (``new - 1`` wraps only at 0,
-            # where ``new <= 1`` holds), and ranks 0 and 1 have none to miss
-            grew = new > old
-            x[bucket[grew]] = ((new == old + 1) & (old > 0))[grew]
-            x[bucket[(geo == new - 1) | (new <= 1)]] = 1
+            # a grown max holds its neighbor if it grew by one: from a nonempty
+            # cell the old max is the neighbor, and rank 1 has none to miss
+            np.copyto(x, k == old + 1, where=k > old)
+            # ranks fit a byte, so the gather keeps its run-sized temporaries small
+            x[bucket[geo == k.astype(np.uint8)[bucket] - 1]] = 1  # a rank one below the max
+        else:
+            old = k[bucket]
+            np.maximum.at(k, bucket, geo)
+            new = k[bucket]
+            # every pair of a cell gathers the same old and new ranks, so each
+            # writes the cell the same value, and the hits are ORed in after
+            x[bucket] = np.where(new > old, new == old + 1, x[bucket])
+            np.maximum.at(x, bucket, (geo == new - 1).astype(np.int64))  # int64 keeps the fast path
         self._sum, self._sum_err, self._sum_exact = None, 0.0, True
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:

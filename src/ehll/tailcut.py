@@ -27,7 +27,9 @@ alone through the scalar step.  The run goes in with the in-place union
 of the plain codec: its cells are the plain union, and since the base of
 any insert sequence is the minimum cell, promoting once if the union
 left no zero offset ends in the state of the sequential inserts.  The
-zero offsets are recounted only when the run lifted one of them.
+zero offsets are recounted over the cells when a run of fewer than ``m``
+pairs lifted one of them, and after every run of ``m`` pairs or more,
+which skips the gather that would tell.
 
 The martingale reads ``q`` between pairs, and a saturated cell's term
 moves with the base, so for it order matters at a second kind of
@@ -59,7 +61,9 @@ class _TailCutBase(_RankSketch):
         self._zero_offsets = int(np.count_nonzero(k == self.base))
 
     def _union_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        lifts = ((geo > self.base) & (self._k[bucket] == self.base)).any()
+        # a run of m pairs or more is recounted without the gather that would tell
+        lifts = (len(bucket) >= self.m
+                 or ((geo > self.base) & (self._k[bucket] == self.base)).any())
         super()._union_batch(bucket, geo)
         if lifts:
             self._zero_offsets = int(np.count_nonzero(self._k == self.base))

@@ -1,7 +1,9 @@
 """The batch paths against the scalar rule and the oracle.
 
-``insert_batch`` unions a batch into the cells it hits, in place; the
-register codec packs eight registers per 64-bit word.  Both must give
+``insert_batch`` unions a batch into the cells in place: a run of
+fewer than ``m`` pairs touches only the cells it hits, and a longer one
+sets the neighbor bits over the whole cell array.  The register codec
+packs eight registers per 64-bit word.  Both must give
 the bytes of element-at-a-time inserts, at any batch size, any register
 count and any interleaving with merges and file round trips.
 """
@@ -19,7 +21,7 @@ from ehll.martingale import MartingaleCounter
 from ehll.oracle import derive_cells, shadow_from_stream
 from ehll.registers import BitArray, PackedRegisterArray
 from ehll.serialization import SKETCHES, deserialize, serialize
-from ehll.sketches import cell_indicator, estimate_cells
+from ehll.sketches import cell_indicator, estimate_cells, merge_ehll_cells
 from ehll.tailcut import OFFSET_MAX, _TailCutBase
 
 KINDS = tuple(SKETCHES)
@@ -362,6 +364,81 @@ def test_a_plain_tailcut_batch_steps_only_at_clamps(kind, monkeypatch):
     assert steps == list(zip(bucket[clamps].tolist(), geo[clamps].tolist()))
     assert bat == seq and bat.base == seq.base
     assert bat._zero_offsets == seq._zero_offsets
+
+
+# ---------------------------------------------------------------------------
+# the two-field union on either side of its switch at m pairs
+
+SWITCH_KINDS = ["ehll", "hll-tc", "ehll-tc"]
+SWITCH_SIZES = [1024, 1195, 1280]
+
+
+@pytest.fixture(scope="module")
+def switch_streams():
+    """Per m: a stream opening with ranks above the first TailCut ceiling, and its oracle cells."""
+    out = {}
+    for m in SWITCH_SIZES:
+        values = np.concatenate([spikes(m), stream_u64(16 * m, m)])
+        out[m] = values, derive_cells(shadow_from_stream(values.tolist(), m))[1]
+    return out
+
+
+@pytest.fixture(scope="module")
+def switch_replays(switch_streams):
+    return {(kind, m): scalar_replay(SKETCHES[kind], values, m=m)
+            for kind in SWITCH_KINDS for m, (values, _) in switch_streams.items()}
+
+
+@pytest.mark.parametrize("kind", SWITCH_KINDS)
+@pytest.mark.parametrize("m", SWITCH_SIZES)
+@pytest.mark.parametrize("offset", [-1, 0, 1, "3m"])
+def test_batches_around_the_union_switch(kind, m, offset, switch_streams, switch_replays):
+    values, cells = switch_streams[m]
+    got = batched(SKETCHES[kind], values, 3 * m if offset == "3m" else m + offset, m=m)
+    assert got == switch_replays[kind, m]
+    k, x = got._cells()
+    if kind == "ehll":
+        assert list(zip(k.tolist(), x.tolist())) == cells
+    else:
+        # clamped at the opening, then the base promoted past 0
+        assert got.base > 0 and (np.array([c for c, _ in cells]) > k).any()
+        assert got._zero_offsets == switch_replays[kind, m]._zero_offsets
+
+
+@st.composite
+def crowded_union(draw):
+    """Valid prior cells of ``m`` and a run of pairs crowded onto a few of them at ranks 1-3."""
+    m = draw(st.integers(4, 24))
+    k = np.array(draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)))
+    x = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    x[k <= 1] = 1  # ranks 0 and 1 have no neighbor to miss
+    cells = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, m - 1))
+    bucket = np.array(draw(st.lists(st.sampled_from(cells), min_size=n, max_size=n)))
+    geo = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    return k, x, bucket, geo
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(case=crowded_union())
+def test_a_run_below_m_pairs_is_the_union_with_its_own_cells(kind, case):
+    """Repeated buckets of a short run each write their cell once, and all agree."""
+    k, x, bucket, geo = case
+    s = SKETCHES[kind](m=len(k))
+    s._load(k.copy(), x.copy() if s.neighbor_bit else None)  # no rank clamps here
+    s._insert_bg_batch(bucket, geo)
+    shadow = [set() for _ in k]
+    for j, g in zip(bucket.tolist(), geo.tolist()):
+        shadow[j].add(g)
+    hll_cells, ehll_cells = derive_cells(shadow)
+    got_k, got_x = s._cells()
+    if s.neighbor_bit:
+        want_k, want_x = merge_ehll_cells(k, x, *map(np.array, zip(*ehll_cells)))
+        assert np.array_equal(got_x, want_x)
+    else:
+        want_k = np.maximum(k, hll_cells)
+    assert np.array_equal(got_k, want_k)
 
 
 # ---------------------------------------------------------------------------
