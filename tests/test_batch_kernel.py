@@ -62,11 +62,29 @@ def test_batch_equals_scalar_at_b14(kind, size):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("m", [1195, 1280])
+@pytest.mark.parametrize("m", [1024, 1195, 1280])
 def test_batch_equals_scalar_at_unaligned_m(kind, m):
-    values = stream_u64(5000, m)
+    # m = 1024 is the aligned control; the batch sizes sit on both sides of
+    # the two-field union's switch at m pairs, and the stream opens with
+    # TailCut clamps and runs long enough to promote its base
+    values = np.concatenate([spikes(m), stream_u64(16 * m, m)])
     cls = SKETCHES[kind]
-    assert batched(cls, values, 700, m=m) == scalar_replay(cls, values, m=m)
+    want = scalar_replay(cls, values, m=m)
+    hll_cells, ehll_cells = derive_cells(shadow_from_stream(values.tolist(), m))
+    for size in (700, m - 1, m, m + 1, 3 * m):
+        got = batched(cls, values, size, m=m)
+        assert got == want, size
+        if kind == "pcsa":
+            continue
+        k, x = got._cells()
+        if isinstance(got, _TailCutBase):
+            # clamped at the opening, then the base promoted past 0
+            assert got.base > 0 and (np.array(hll_cells) > k).any()
+            assert got._zero_offsets == want._zero_offsets
+        elif x is None:
+            assert k.tolist() == hll_cells
+        else:
+            assert list(zip(k.tolist(), x.tolist())) == ehll_cells
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -367,43 +385,7 @@ def test_a_plain_tailcut_batch_steps_only_at_clamps(kind, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the two-field union on either side of its switch at m pairs
-
-SWITCH_KINDS = ["ehll", "hll-tc", "ehll-tc"]
-SWITCH_SIZES = [1024, 1195, 1280]
-
-
-@pytest.fixture(scope="module")
-def switch_streams():
-    """Per m: a stream opening with ranks above the first TailCut ceiling, and its oracle cells."""
-    out = {}
-    for m in SWITCH_SIZES:
-        values = np.concatenate([spikes(m), stream_u64(16 * m, m)])
-        out[m] = values, derive_cells(shadow_from_stream(values.tolist(), m))[1]
-    return out
-
-
-@pytest.fixture(scope="module")
-def switch_replays(switch_streams):
-    return {(kind, m): scalar_replay(SKETCHES[kind], values, m=m)
-            for kind in SWITCH_KINDS for m, (values, _) in switch_streams.items()}
-
-
-@pytest.mark.parametrize("kind", SWITCH_KINDS)
-@pytest.mark.parametrize("m", SWITCH_SIZES)
-@pytest.mark.parametrize("offset", [-1, 0, 1, "3m"])
-def test_batches_around_the_union_switch(kind, m, offset, switch_streams, switch_replays):
-    values, cells = switch_streams[m]
-    got = batched(SKETCHES[kind], values, 3 * m if offset == "3m" else m + offset, m=m)
-    assert got == switch_replays[kind, m]
-    k, x = got._cells()
-    if kind == "ehll":
-        assert list(zip(k.tolist(), x.tolist())) == cells
-    else:
-        # clamped at the opening, then the base promoted past 0
-        assert got.base > 0 and (np.array([c for c, _ in cells]) > k).any()
-        assert got._zero_offsets == switch_replays[kind, m]._zero_offsets
-
+# the two-field union below m pairs
 
 @st.composite
 def crowded_union(draw):
