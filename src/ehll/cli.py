@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import analysis, oracle, serialization
+from . import analysis, serialization
 from .hashing import top_bits_precision
 from .martingale import MartingaleCounter
 from .simulate import SimulationConfig, paper_scale, rows_to_csv, rows_to_svg, simulate
@@ -208,6 +208,8 @@ def cmd_mvp(args) -> int:
 
 
 def cmd_oracle_expectation(args) -> int:
+    from . import oracle  # only the oracle commands need it
+
     if args.sketch == "ehll":
         value = oracle.exact_expectation_Y(args.n, args.m, args.k)
     else:
@@ -218,6 +220,8 @@ def cmd_oracle_expectation(args) -> int:
 
 
 def cmd_oracle_change_probability(args) -> int:
+    from . import oracle
+
     sketch = serialization.load(args.load)
     _check_change_probability(sketch.kind)
     enum = oracle.enumerate_change_probability(sketch, args.depth)

@@ -28,15 +28,24 @@ cumulative sum in arrival order, and the block returns them after each
 change, so a trace of the estimator over a stream is one block insert.
 
 Few pairs of a long run can change a cell: a cell's max only grows, and
-past the first few thousand pairs most ranks sit well below it.  So
-before the scan a run is cut into chunks of ``_CHUNK`` pairs, and a pair
-is kept only if its rank is at least its cell's max at the chunk start
-minus one (two-field cells) or above that max (max-rank cells); one
-``np.maximum.at`` per chunk moves the maxima on.  This is exact: a
-dropped pair's rank is at or below its cell's max when it arrives, and
-for a two-field cell at least two below, so it is neither a grow nor a
-rank one below the max, and cannot raise the running max either.  The
-scan and the sketch union see only the kept pairs, and the arrivals,
+past the first few thousand pairs most ranks sit at or below it.  So
+:func:`may_change` reads a run in chunks, compares each chunk with the
+sketch's live cells ``(k, x)``, keeps a pair only if its rank is above
+``k`` or is ``k - 1`` on a two-field cell whose bit is 0, and unions
+the kept pairs into the sketch before it reads the next chunk.  This is
+exact, since within a chunk:
+
+* a rank equal to ``k`` never changes a two-field cell: either the max
+  did not move, or a grow by one set the bit, or a grow by two or more
+  put the rank two or more below the max;
+* a bit of 1 drops to 0 only at a grow by two or more, which also
+  leaves ``k - 1`` two or more below the max;
+* a rank below ``k - 1`` stays two or more below the max.
+
+So a dropped pair is a no-op for the cell rule and for
+:func:`change_deltas`.  A TailCut run with ``reads_q`` neither clamps
+nor promotes, so its cells follow the plain rule.  The change scan sees
+the kept pairs on the cells the run started from, and the arrivals,
 deltas, E, V and the final sketch are those of the whole run.
 
 A counter is strictly single-threaded (sequential semantics are the
@@ -52,28 +61,35 @@ import numpy as np
 from .hashing import check_int_pair
 
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
-_CHUNK = 8192  # pairs compared with the cell maxima at their chunk's start
+_CHUNK = 16384  # the longest chunk of a run compared with the live cells
 
 
-def may_change(bucket: np.ndarray, geo: np.ndarray, k0: np.ndarray,
-               two_field: bool) -> np.ndarray:
-    """Indices, in arrival order, of the pairs that can change a cell of max ``k0``.
+def may_change(sketch, bucket: np.ndarray, geo: np.ndarray) -> np.ndarray:
+    """Union an order-free run into ``sketch``; the indices of the pairs that can change a cell.
 
-    Each chunk of ``_CHUNK`` pairs is compared with its cells' maxima at
-    the chunk start: a pair stays if its rank is at least that max minus
-    one (``two_field``) or above it.  Every pair dropped is a no-op for
-    the cell rule and for :func:`change_deltas` (see the module notes).
+    The run goes in chunk by chunk, the first of ``min(m, _CHUNK)``
+    pairs, while most pairs still change a cell, and each next one
+    twice as long, up to ``_CHUNK``.  A pair is kept if it can change
+    its cell ``(k, x)`` as its chunk finds it: a rank above ``k``, or
+    ``k - 1`` on a two-field cell whose bit is 0.  The kept pairs of a
+    chunk are unioned into the sketch before the next chunk is read.
+    Every pair dropped is a no-op for the cell rule and for
+    :func:`change_deltas` (see the module notes).
     """
-    n = len(bucket)
-    slack = -1 if two_field else 1
-    floor = k0 + slack  # per cell, the lowest rank kept; a fresh array
     keep = [np.zeros(0, dtype=np.intp)]
-    for lo in range(0, n, _CHUNK):
-        b, g = bucket[lo:lo + _CHUNK], geo[lo:lo + _CHUNK]
-        at = np.flatnonzero(g >= floor[b])
+    lo, size = 0, min(sketch.m, _CHUNK)
+    while lo < len(bucket):
+        b, g = bucket[lo:lo + size], geo[lo:lo + size]
+        k, x = sketch._cells()
+        if x is None:
+            at = np.flatnonzero(g > k[b])
+        else:  # at or above the lowest rank that changes the cell, k + 1 or k - 1, but not k
+            at = np.flatnonzero(g >= (k + 2 * x - 1)[b])
+            at = at[g[at] != k[b[at]]]
+        sketch._union_batch(b[at], g[at])
         keep.append(at + lo)
-        if lo + _CHUNK < n:  # a dropped pair cannot raise a max
-            np.maximum.at(floor, b[at], g[at] + slack)
+        lo += size
+        size = min(2 * size, _CHUNK)
     return np.concatenate(keep)
 
 
@@ -179,10 +195,11 @@ class MartingaleCounter:
         kinds while ranks stay below about 40 at m=2^12; past that the
         two agree up to rounding.
 
-        Only the pairs of a run that :func:`may_change` keeps reach the
-        change scan and the sketch's union; the rest cannot change a cell
-        (a TailCut run compares effective ranks), so the result is that of
-        the whole run.
+        A run goes into the sketch through :func:`may_change`, which
+        unions it chunk by chunk and keeps only the pairs that can change
+        a cell (a TailCut run compares effective ranks); the change scan
+        sees those pairs on a copy of the cells the run started from, so
+        the result is that of the whole run.
 
         Raises ValueError unless ``bucket`` and ``geo`` are 1-D integer
         arrays of one length, with buckets in ``[0, m)`` and ranks in
@@ -202,13 +219,14 @@ class MartingaleCounter:
                     arrivals.append([lo])
                     qs.append([q])
                 continue
-            kept = may_change(bucket[lo:hi], geo[lo:hi], cells[0], inner.neighbor_bit) + lo
-            bu, ge = bucket[kept], geo[kept]
-            at, delta = change_deltas(bu, ge, *cells, inner._terms)
+            # the scan needs the cells and term sum from before may_change unions the run
+            start = [None if c is None else c.copy() for c in cells]
+            total = inner._term_sum()
+            kept = may_change(inner, bucket[lo:hi], geo[lo:hi]) + lo
+            at, delta = change_deltas(bucket[kept], geo[kept], *start, inner._terms)
             # q before each change: the term sum plus the deltas of the changes before it
             arrivals.append(kept[at])
-            qs.append((inner._term_sum() + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
-            inner._union_batch(bu, ge)
+            qs.append((total + np.concatenate(([0.0], delta)).cumsum()[:-1]) / inner.m)
         q = np.concatenate(qs)
         # accumulated from the running values, in order, as insert() adds them
         e = np.concatenate(([self.estimate_value], 1.0 / q)).cumsum()

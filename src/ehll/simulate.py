@@ -26,10 +26,9 @@ martingale trial feeds its whole stream to a
 :class:`~ehll.martingale.MartingaleCounter` as one block, which returns
 E and V after each state change (a few thousand per trial), and reads
 the checkpoints off that trace; the counter's block path is tested
-against the element-at-a-time counter.  The block path scans and
-unions only the pairs that can change a cell (a rank not below its
-cell's max at the start of an 8,192-pair chunk, less one with neighbor
-bits), a sixth to a tenth of the pairs at n = 10^5.
+against the element-at-a-time counter.  The block path unions the
+stream chunk by chunk and scans only the pairs that can change a cell
+as their chunk finds it, 6-7% of the pairs at n = 10^5 and m = 1024.
 
 A trial's stream, hashes and (bucket, rank) pairs come from the in-place
 array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived

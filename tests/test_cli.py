@@ -465,6 +465,20 @@ def test_cli_import_and_martingale_run_leave_scipy_unloaded(tmp_path):
     assert out.splitlines()[-1] == "scipy False 0"
 
 
+def test_only_the_oracle_commands_import_the_oracle(tmp_path):
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(f"t{i}\n" for i in range(300)))
+    out = _fresh_python(
+        "import sys\nfrom ehll.cli import main\n"
+        "print('oracle', 'ehll.oracle' in sys.modules)\n"
+        "main(['estimate', '--martingale', '--b', '6', sys.argv[1]])\n"
+        "print('oracle', 'ehll.oracle' in sys.modules)\n"
+        "main(['oracle', 'expectation', '--n', '10', '--m', '4'])\n"
+        "print('oracle', 'ehll.oracle' in sys.modules)", str(path))
+    assert [ln for ln in out.splitlines() if ln.startswith("oracle ")] == \
+        ["oracle False", "oracle False", "oracle True"]
+
+
 def test_no_command_loads_scipy(tmp_path):
     tokens = tmp_path / "tok.txt"
     tokens.write_text("".join(f"t{i}\n" for i in range(3000)))

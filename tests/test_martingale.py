@@ -188,11 +188,41 @@ def test_change_deltas_equals_a_shadow_replay(bits, data):
     assert delta.tolist() == want_delta
 
 
+def _cells_sketch(k0, x0):
+    """A rank sketch whose cells are copies of ``(k0, x0)``; max-rank without ``x0``."""
+    sketch = (HllSketch if x0 is None else EhllSketch)(m=len(k0))
+    sketch._derive(k0.copy(), None if x0 is None else x0.copy())
+    return sketch
+
+
 def _filtered_scan(bucket, geo, k0, x0):
-    """:func:`change_deltas` over the pairs :func:`may_change` keeps, in block indices."""
-    keep = may_change(bucket, geo, k0, x0 is not None)
+    """:func:`change_deltas` over the pairs :func:`may_change` keeps, in block indices.
+
+    Also checks that the scan leaves the cells that the union of the whole run does.
+    """
+    sketch, full = _cells_sketch(k0, x0), _cells_sketch(k0, x0)
+    keep = may_change(sketch, bucket, geo)
+    full._union_batch(bucket, geo)
+    assert sketch == full
     at, delta = change_deltas(bucket[keep], geo[keep], k0, x0, cell_terms)
     return keep[at], delta
+
+
+@pytest.mark.parametrize("bits", [True, False])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_scan_keeps_the_changes(bits, data):
+    # one-pair chunks see each pair's own cell: they keep exactly the changes
+    bucket, geo, k0, x0, want_at, _ = _shadow_case(data, bits)
+    for chunk in (1, ehll.martingale._CHUNK, 61):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ehll.martingale, "_CHUNK", chunk)
+            keep = may_change(_cells_sketch(k0, x0), bucket, geo).tolist()
+        assert keep == sorted(set(keep))  # arrival order, each pair once
+        if chunk == 1:
+            assert keep == want_at
+        else:
+            assert set(want_at) <= set(keep)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 8])
@@ -213,15 +243,15 @@ def test_filtered_scan_equals_a_shadow_replay(bits, chunk, data):
 @pytest.mark.parametrize("m", [1024, 1195])
 @pytest.mark.parametrize("start", ["empty", "random"])
 def test_filtered_scan_equals_the_full_scan(kind, m, start):
-    # a campaign-sized run crosses a dozen chunk boundaries
+    # a campaign-sized run crosses nine chunk boundaries
     bucket, geo = split_hash_array(hash64_u64_array(stream_u64(100_000, m), 0), m)
     rng = np.random.default_rng(m)
     k0 = rng.integers(0, 12, size=m) if start == "random" else np.zeros(m, dtype=np.int64)
     x0 = None
     if kind == "ehll":
         x0 = np.where(k0 >= 2, rng.integers(0, 2, size=m), 1)
-    keep = may_change(bucket, geo, k0, x0 is not None)
-    assert len(keep) < len(bucket) // 5
+    keep = may_change(_cells_sketch(k0, x0), bucket, geo)
+    assert len(keep) < len(bucket) // 10
     full_at, full_delta = change_deltas(bucket, geo, k0, x0, cell_terms)
     at, delta = _filtered_scan(bucket, geo, k0, x0)
     assert len(at) > 1000
