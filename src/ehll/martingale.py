@@ -212,7 +212,7 @@ class MartingaleCounter:
         if len(geo) and not (1 <= geo.min() and geo.max() <= inner.width + 1):
             raise ValueError(f"ranks must lie in [1, {inner.width + 1}]")
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for lo, hi, cells in inner._runs(bucket, geo, reads_q=True):
+        for lo, hi in inner._runs(bucket, geo, reads_q=True):
             if hi == lo:  # a cut element: insert()'s scalar step
                 q = inner.change_probability()
                 if inner._insert_bg(int(bucket[lo]), int(geo[lo])):
@@ -220,7 +220,7 @@ class MartingaleCounter:
                     qs.append([q])
                 continue
             # the scan needs the cells and term sum from before may_change unions the run
-            start = [None if c is None else c.copy() for c in cells]
+            start = [None if c is None else c.copy() for c in inner._cells()]
             total = inner._term_sum()
             kept = may_change(inner, bucket[lo:hi], geo[lo:hi]) + lo
             at, delta = change_deltas(bucket[kept], geo[kept], *start, inner._terms)

@@ -7,7 +7,10 @@ register, 7 per ExtendedHyperLogLog cell, 4-bit TailCut offsets) counts
 their EHS1 payload, real only if each buffer is exactly
 ``ceil(m * width / 8)`` bytes.
 
-Scalar get/set serve the bitmap insert path; ``values()`` /
+:class:`BitArray`'s scalar get/set serve the bitmap insert path.
+``PackedRegisterArray.get``/``set`` at widths above 1 have no caller in
+the package: they stay for ``tests/test_registers.py`` and the
+benchmark tracer until those move off them.  ``values()`` /
 ``set_values()`` unpack the whole array and pack it in place.  The PCSA
 bitmap lives packed; a rank sketch's state is its int64 cells, which it
 packs with ``set_values()`` only to build its EHS1 payload (a serialize,

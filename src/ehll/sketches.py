@@ -33,11 +33,13 @@ is its cells, int64 arrays; the packed registers the memory accounting
 counts exist only as the EHS1 payload, built by ``_payload()`` when a
 file is written (see :class:`_RankSketch`).
 
-Sketches are single-writer.  ``serialize``, ``==`` and ``merge`` write
-nothing; ``estimate``, ``indicator`` and ``change_probability`` may store
-the term sum a full write left unset, the same value from any reader.
-So reading or merging one sketch from several threads is fine while no
-thread inserts into it.
+Sketches are single-writer.  Only ``change_probability`` and the inserts
+(the scalar step, the martingale block) store the term sum;
+``change_probability`` stores it only where a write left it unset, and
+every reader computes the same value.  ``estimate`` and ``indicator``
+read the cells alone, so they, ``serialize``, ``==`` and ``merge``
+write nothing.  So reading or merging one sketch from several threads
+is fine while no thread inserts into it.
 """
 
 from __future__ import annotations
@@ -135,14 +137,11 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
     """Bias-corrected estimate of ``m`` explicit cells, linear counting below 2.5 m.
 
     Max-rank cells (``x`` is None) and two-field cells take their
-    :func:`bias_constant`.
+    :func:`bias_constant`; the raw estimate is that constant times ``m^2``
+    over the sum of the cells' :func:`cell_terms`.  Every rank sketch's
+    ``estimate`` is this function of its cells.
     """
-    return _estimate(m, k, x, float(cell_terms(k, x).sum()), asymptotic)
-
-
-def _estimate(m: int, k: np.ndarray, x: np.ndarray | None, total: float,
-              asymptotic: bool) -> RawEstimate:
-    """:func:`estimate_cells` of cells whose :func:`cell_terms` sum to ``total``."""
+    total = float(cell_terms(k, x).sum())
     raw = bias_constant(m, x is not None, asymptotic) * m * m * (1.0 / total)
     if raw < LC_THRESHOLD * m:
         v = int(np.count_nonzero(np.asarray(k) == 0))
@@ -340,14 +339,16 @@ class _RankSketch(_SketchBase):
     A codec supplies ``_width`` (bits per stored rank) and ``base`` (what
     a stored rank counts from) and may refine ``_clamp``,
     ``_term``/``_terms``, ``_after_insert``, ``_union_batch``,
-    ``_derive``, ``_load``, ``_run_end``, ``_loaded`` and
-    ``_cells_and_sum``.  The term sum moves incrementally in the scalar
-    step; a batch union or a full write leaves it unset (``_sum`` is
-    None) and ``_term_sum()`` computes it from the cells when it is next
-    read.  Here ``_terms`` is :func:`cell_terms`, so until the next
-    scalar step that sum is the estimator's sum, bit for bit
-    (``_sum_exact``); a codec whose ``_terms`` differ overrides
-    ``_cells_and_sum``.
+    ``_derive``, ``_load``, ``_run_end`` and ``_loaded``.
+
+    The estimator reads only the cells: ``estimate`` is
+    :func:`estimate_cells` of them and ``indicator`` is
+    :func:`cell_indicator`.  The change-probability term sum ``_sum``,
+    over the codec's ``_terms``, serves ``change_probability``, the
+    scalar step and the martingale block.  It moves incrementally in the
+    scalar step; a batch union or a full write leaves it unset (``_sum``
+    is None) and ``_term_sum()`` computes it from the cells when it is
+    next read.
     """
 
     neighbor_bit = False
@@ -406,21 +407,9 @@ class _RankSketch(_SketchBase):
             self._sum = float(self._terms(self._k, self._x).sum())
         return self._sum
 
-    def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """Every cell and the sum of its :func:`cell_terms`: the ``_term_sum()`` while exact."""
-        k, x, total = self._k, self._x, self._term_sum()
-        return k, x, total if self._sum_exact else float(cell_terms(k, x).sum())
-
-    def _store(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Make ``(k, x)`` the cells."""
+    def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
+        """Make a full write's ``(k, x)`` the cells: no re-encoding here."""
         self._derive(k, x)
-
-    _load = _store  # a merged (rank, bit) state needs no re-encoding here
-
-    def _union(self, k_a, x_a, k_b, x_b) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.neighbor_bit:
-            return merge_ehll_cells(k_a, x_a, k_b, x_b)
-        return np.maximum(k_a, k_b), None
 
     def _insert_bg(self, bucket: int, geo: int) -> bool:
         k = self._k.item(bucket)
@@ -438,7 +427,6 @@ class _RankSketch(_SketchBase):
         self._k[bucket] = new_k
         if self.neighbor_bit:
             self._x[bucket] = new_x
-        self._sum_exact = False
         y = self._term(new_k, new_x) - old_term - self._sum_err
         t = total + y
         self._sum_err = (t - total) - y
@@ -446,9 +434,8 @@ class _RankSketch(_SketchBase):
         self._after_insert(k, new_k)
         return True
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray,
-                 reads_q: bool) -> int:
-        """Length of the leading order-free run over the ranks ``k``: all, for the plain rule.
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool) -> int:
+        """Length of the leading order-free run on the cells: all, for the plain rule.
 
         0 means the first pair goes in alone.  ``reads_q`` says the caller
         reads the change probability between pairs, so a run must also
@@ -458,7 +445,7 @@ class _RankSketch(_SketchBase):
         return len(bucket)
 
     def _runs(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool = False):
-        """Yield ``(lo, hi, cells)``: ``[lo, hi)`` is order-free on ``cells``, or empty.
+        """Yield ``(lo, hi)``: ``[lo, hi)`` is order-free on the cells, or empty.
 
         An empty run means pair ``lo`` goes in alone.  The caller applies
         it before resuming, and the next run is found in the state left: a
@@ -468,13 +455,12 @@ class _RankSketch(_SketchBase):
         """
         lo, n = 0, len(bucket)
         while lo < n:
-            cells = self._cells()
-            hi = lo + self._run_end(bucket[lo:], geo[lo:], cells[0], reads_q)
-            yield lo, hi, cells
+            hi = lo + self._run_end(bucket[lo:], geo[lo:], reads_q)
+            yield lo, hi
             lo = max(hi, lo + 1)
 
     def _insert_bg_batch(self, bucket: np.ndarray, geo: np.ndarray) -> None:
-        for lo, hi, _ in self._runs(bucket, geo):
+        for lo, hi in self._runs(bucket, geo):
             if hi == lo:
                 self._insert_bg(int(bucket[lo]), int(geo[lo]))
             else:
@@ -509,7 +495,7 @@ class _RankSketch(_SketchBase):
             # writes the cell the same value, and the hits are ORed in after
             x[bucket] = np.where(new > old, new == old + 1, x[bucket])
             np.maximum.at(x, bucket, (geo == new - 1).astype(np.int64))  # int64 keeps the fast path
-        self._sum, self._sum_err, self._sum_exact = None, 0.0, True
+        self._sum, self._sum_err = None, 0.0
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:
         arrays = self._codecs()
@@ -526,7 +512,7 @@ class _RankSketch(_SketchBase):
 
     def indicator(self) -> float:
         """Harmonic indicator: inverse sum of the per-cell terms."""
-        return 1.0 / self._cells_and_sum()[2]
+        return cell_indicator(self._k, self._x)
 
     def change_probability(self) -> float:
         """Probability that inserting a new distinct element changes the sketch."""
@@ -539,15 +525,18 @@ class _RankSketch(_SketchBase):
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
         """Make ``(k, x)`` the cells and unset what is computed from them: the term sum."""
         self._k, self._x = k, x
-        self._sum, self._sum_err, self._sum_exact = None, 0.0, True
+        self._sum, self._sum_err = None, 0.0
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
-        return _estimate(self.m, *self._cells_and_sum(), asymptotic)
+        return estimate_cells(self.m, self._k, self._x, asymptotic)
 
     def merge(self, other):
         self._check_mergeable(other)
         out = copy.copy(self)  # _load replaces the cells, so none are copied
-        out._load(*self._union(*self._cells(), *other._cells()))
+        if self.neighbor_bit:
+            out._load(*merge_ehll_cells(self._k, self._x, other._k, other._x))
+        else:
+            out._load(np.maximum(self._k, other._k), None)
         return out
 
 

@@ -21,9 +21,9 @@ ceiling, and no such evidence was retained.
 
 Cells interact only through the base, which only rises, so only a rank
 above the ceiling ``base + 15`` at a run's start can clamp, under that
-base or any later one.  ``_run_end``, given the cells the run walker
-read, ends a plain batch's run at the first such rank, which goes in
-alone through the scalar step.  The run goes in with the in-place union
+base or any later one.  ``_run_end``, on the cells as the run walker
+finds them, ends a plain batch's run at the first such rank, which goes
+in alone through the scalar step.  The run goes in with the in-place union
 of the plain codec: its cells are the plain union, and since the base of
 any insert sequence is the minimum cell, promoting once if the union
 left no zero offset ends in the state of the sequential inserts.  The
@@ -87,6 +87,7 @@ class _TailCutBase(_RankSketch):
         return math.ldexp(1.0, -k) if x == 1 else math.ldexp(1.0, -(k - 1))
 
     def _terms(self, k: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+        # change-probability terms only: the estimator counts a saturated cell at its full term
         terms = super()._terms(k, x)
         sat = k - self.base == OFFSET_MAX
         if x is None:
@@ -94,10 +95,6 @@ class _TailCutBase(_RankSketch):
         else:
             terms[sat] = cell_terms(k[sat] + x[sat] - 1)  # 2^-k, or 2^-(k-1) with bit 0
         return terms
-
-    def _cells_and_sum(self) -> tuple[np.ndarray, np.ndarray | None, float]:
-        k, x = self._cells()  # the estimator counts a saturated cell at its full term
-        return k, x, float(cell_terms(k, x).sum())
 
     def _after_insert(self, k: int, new_k: int) -> None:
         if k == self.base and new_k > k:
@@ -121,15 +118,14 @@ class _TailCutBase(_RankSketch):
         self.base, offs, truncated = self._encode_effective(k)
         super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
 
-    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, k: np.ndarray,
-                 reads_q: bool) -> int:
+    def _run_end(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool) -> int:
         # only a rank above the ceiling can clamp, under this base or any later one
         above = np.flatnonzero(geo > self.base + OFFSET_MAX)
         end = int(above[0]) if len(above) else len(bucket)
         # a saturated cell's term moves with the base, which holds until every
         # zero-offset cell has been lifted
         if reads_q and end >= self._zero_offsets:  # each element lifts at most one
-            zero = k == self.base
+            zero = self._k == self.base
             up = np.flatnonzero((geo[:end] > self.base) & zero[bucket[:end]])
             first_lift = np.full(self.m, end)
             np.minimum.at(first_lift, bucket[up], up)

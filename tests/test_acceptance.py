@@ -179,7 +179,7 @@ def test_criterion_6_oracle_equivalence():
             k = int(rng.integers(1, 21))
             ranks[j] = k
             bits[j] = 1 if k < 2 else int(rng.integers(0, 2))
-        s._store(ranks, bits)
+        s._derive(ranks, bits)
         diff = s.change_probability() - enumerate_change_probability(s, 20)
         worst = max(worst, abs(diff))
         ok_mc = ok_mc and 0 <= diff <= 2.0**-20 + 1e-12

@@ -1,4 +1,4 @@
-"""Output bytes pinned across refactors: EHS1 files, simulate CSV, CLI stdout.
+"""Output bytes pinned across refactors: EHS1 files, estimate bits, simulate CSV, CLI stdout.
 
 Each digest below was recorded from the package before its sketch
 classes were restructured; any change to a saved file, a campaign CSV or
@@ -7,6 +7,7 @@ must re-record them and say so.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 
@@ -20,6 +21,7 @@ from ehll import (
     HllTcSketch,
     PcsaSketch,
     SimulationConfig,
+    deserialize,
     rows_to_csv,
     serialize,
     simulate,
@@ -65,6 +67,9 @@ CSV_SHA256 = {
     "martingale": "913b518af54b0d96ec9bedfa7db6d2b774aaeded58f9cda6e70e6b1120e0007f",
 }
 
+# every float bit counts here: the CSV prints estimates to 10 digits only
+ESTIMATE_BITS_SHA256 = "099dc767d5884173740fa3cef0c43c7eeb3cfdd9c5a8bacd62a1fc54dcb6335a"
+
 CLI_SHA256 = {
     "estimate-merge": "c7e027b85d8732917a3ec3a5f15649131e2ef8e70cfc20ecdfcae1140f83a47d",
 }
@@ -77,8 +82,8 @@ def spikes(b: int) -> np.ndarray:
     return pool[geo >= 17]
 
 
-def ehs1_blobs(kind: str, b: int) -> bytes:
-    """Batch, scalar, bytes-token and merged sketch files over three stream sizes.
+def ehs1_sketches(kind: str, b: int) -> list:
+    """Batch, scalar, bytes-token and merged sketches over three stream sizes.
 
     Each integer stream opens with a few rank-17+ elements, so TailCut
     clamps, batch cuts and truncating merges are all covered.
@@ -97,8 +102,31 @@ def ehs1_blobs(kind: str, b: int) -> bytes:
             scalar.insert(v)
         tokens = cls(b=b, seed=b)
         tokens.insert_all(f"tok-{i}".encode() for i in range(n // 2, n + n // 2))
-        out += [serialize(s) for s in (batch, scalar, tokens, batch.merge(tokens))]
-    return b"".join(out)
+        out += [batch, scalar, tokens, batch.merge(tokens)]
+    return out
+
+
+def ehs1_blobs(kind: str, b: int) -> bytes:
+    """The files of :func:`ehs1_sketches`, concatenated."""
+    return b"".join(serialize(s) for s in ehs1_sketches(kind, b))
+
+
+def estimate_bits(kind: str, b: int) -> bytes:
+    """float64 bytes of every estimator readout of the EHS1 sketches.
+
+    Read from each sketch of :func:`ehs1_sketches`, from their merge
+    taken left to right, and from that merge after a file round trip:
+    the estimate, finite-m and asymptotic, and for a rank sketch also
+    the indicator and the change probability.
+    """
+    sketches = ehs1_sketches(kind, b)
+    merged = functools.reduce(lambda a, c: a.merge(c), sketches)
+    values = []
+    for s in (*sketches, merged, deserialize(serialize(merged))):
+        values += [s.estimate().value, s.estimate(asymptotic=True).value]
+        if kind != "pcsa":
+            values += [s.indicator(), s.change_probability()]
+    return np.array(values, dtype=np.float64).tobytes()
 
 
 def cli_stdout(tmp_path) -> bytes:
@@ -134,6 +162,11 @@ def test_ehs1_bytes(key):
     assert _sha(ehs1_blobs(kind, int(b))) == EHS1_SHA256[key]
 
 
+def test_estimate_bits():
+    blob = b"".join(estimate_bits(kind, b) for kind in CLASSES for b in (4, 10, 14))
+    assert _sha(blob) == ESTIMATE_BITS_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(CSV_CONFIGS))
 def test_simulate_csv_bytes(name):
     rows = simulate(SimulationConfig(**CSV_CONFIGS[name]))
@@ -146,4 +179,5 @@ def test_cli_stdout_bytes(tmp_path):
 
 def test_pins_cover_every_kind():
     assert sorted(EHS1_SHA256) == sorted(f"{k}/{b}" for k in CLASSES for b in (4, 10, 14))
-    assert np.all([len(v) == 64 for v in (*EHS1_SHA256.values(), *CSV_SHA256.values())])
+    assert np.all([len(v) == 64 for v in (*EHS1_SHA256.values(), *CSV_SHA256.values(),
+                                          ESTIMATE_BITS_SHA256)])

@@ -231,7 +231,7 @@ def test_enumerate_rejects_depth_below_one():
 
 def test_enumerate_single_cell_example():
     s = EhllSketch(m=1)
-    s._store(np.array([3]), np.array([0]))
+    s._derive(np.array([3]), np.array([0]))
     K = 30
     assert s.change_probability() == pytest.approx(3.0 / 8.0)
     assert enumerate_change_probability(s, K) == pytest.approx(3.0 / 8.0 - 0.5**K)
@@ -257,12 +257,12 @@ def test_enumeration_matches_incremental_on_random_states():
         m = int(rng.choice([1, 2, 4]))
         ranks, bits = _random_reachable_cells(rng, m)
         s = EhllSketch(m=m)
-        s._store(ranks, bits)
+        s._derive(ranks, bits)
         diff = s.change_probability() - enumerate_change_probability(s, K)
         assert 0 <= diff <= 0.5**K + 1e-12
 
         h = HllSketch(m=m)
-        h._store(ranks.copy(), None)
+        h._derive(ranks.copy(), None)
         diff = h.change_probability() - enumerate_change_probability(h, K)
         assert 0 <= diff <= 0.5**K + 1e-12
 

@@ -175,7 +175,7 @@ def test_hll_estimate_empty_is_zero():
 def test_hll_estimate_regime_boundary():
     # all registers nonzero but raw below the threshold: falls back to raw
     s = HllSketch(b=4)
-    s._store(np.ones(16, dtype=np.int64), None)
+    s._derive(np.ones(16, dtype=np.int64), None)
     raw = alpha_m(16) * 16 * 16 * s.indicator()
     assert raw < 2.5 * 16
     est = s.estimate()
@@ -259,7 +259,7 @@ def test_change_probability_fresh_and_fixed_state():
     h = HllSketch(b=4)
     assert h.change_probability() == pytest.approx(1.0)
     single = EhllSketch(m=1)
-    single._store(np.array([3]), np.array([0]))
+    single._derive(np.array([3]), np.array([0]))
     assert single.change_probability() == pytest.approx(3.0 / 8.0)
 
 

@@ -58,7 +58,7 @@ def test_base_promotion_preserves_effective_values():
     assert s.estimate().value != est_before  # the insert changed a register
     # re-deriving the estimate from effective values matches a plain sketch
     plain = HllSketch(m=16, seed=0)
-    plain._store(s.effective_values(), None)
+    plain._derive(s.effective_values(), None)
     assert s.estimate().value == pytest.approx(plain.estimate().value)
 
 
