@@ -21,12 +21,17 @@ Two addressing modes exist:
   ``m = 1195`` and supports cardinalities up to roughly ``2**30``.
 
 The array pipeline that campaign trials and ``insert_batch`` run
-(:func:`stream_u64`, :func:`hash64_u64_array`, :func:`split_hash_array`)
-works in place: each stage allocates only its own outputs and walks
-them in blocks of :data:`_BLOCK` words, so the temporaries of
-:func:`_mix_inplace` and :func:`rho_array` stay small, and
-:func:`rho_array` reads the low bits of a word without a masked copy.
-Inputs are never modified.
+(:func:`stream_u64`, :func:`hash64_u64_array`, :func:`split_hash_array`,
+:func:`rho_array`) works in place: each stage writes only its outputs
+and walks them in blocks of :data:`_BLOCK` words, so its temporaries
+stay small, and :func:`rho_array` reads the low bits of a word without a
+masked copy.  Each stage takes an optional ``out``: given, the stage
+allocates nothing of the input's size and writes there, so a caller that
+reuses its buffers (a campaign worker, trial after trial) touches no
+fresh pages; omitted, the stage allocates its outputs.  An ``out`` of
+the wrong dtype or shape raises ValueError.  Inputs are never modified,
+except by ``hash64_u64_array(x, seed, out=x)``, which hashes ``x`` in
+place.
 """
 
 from __future__ import annotations
@@ -50,9 +55,13 @@ def mix64(x: int) -> int:
 
 
 #: Elements per block of the in-place array kernels (64 KiB of uint64).  A
-#: temporary of this size is reused from the allocator's free lists and
-#: stays in cache; one as large as the whole array is fresh pages each time.
+#: block's temporaries are reused from the allocator's free lists and stay
+#: in cache; one as large as the whole array is fresh pages each time, and
+#: so is a whole-array output unless the caller passes its own ``out``.
 _BLOCK = 1 << 13
+
+#: ``0, 1, ..., _BLOCK - 1``: one block of :func:`stream_u64`'s counters.
+_IOTA = np.arange(_BLOCK, dtype=np.uint64)
 
 
 def _blocks(n: int):
@@ -60,15 +69,27 @@ def _blocks(n: int):
     return (slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK))
 
 
+def _checked_out(out, shape: tuple, dtype) -> np.ndarray:
+    """``out`` if it is an ndarray of ``shape`` and ``dtype``, else ValueError."""
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ValueError(f"out must be a {np.dtype(dtype)} array of shape {shape}, got {got}")
+    return out
+
+
+def _mix_block(v: np.ndarray) -> None:
+    """:func:`mix64` applied in place to one block of uint64 (wrapping arithmetic)."""
+    v ^= v >> _U(30)
+    v *= _U(_MIX1)
+    v ^= v >> _U(27)
+    v *= _U(_MIX2)
+    v ^= v >> _U(31)
+
+
 def _mix_inplace(x: np.ndarray) -> None:
-    """:func:`mix64` applied in place to a uint64 array (wrapping arithmetic)."""
+    """:func:`mix64` applied in place to a uint64 array, block by block."""
     for blk in _blocks(len(x)):
-        v = x[blk]
-        v ^= v >> _U(30)
-        v *= _U(_MIX1)
-        v ^= v >> _U(27)
-        v *= _U(_MIX2)
-        v ^= v >> _U(31)
+        _mix_block(x[blk])
 
 
 def _canonical_bytes(element) -> bytes:
@@ -104,17 +125,28 @@ def hash64(element, seed: int = 0) -> int:
     return mix64(state ^ len(data))
 
 
-def hash64_u64_array(values: np.ndarray, seed: int = 0) -> np.ndarray:
+def hash64_u64_array(values: np.ndarray, seed: int = 0,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized :func:`hash64` for arrays of 64-bit integer elements.
 
     Bit-identical to ``hash64(int(v).to_bytes(8, 'little'), seed)`` for
     every entry, so batch-built sketches match element-at-a-time ones.
+    The digests go to ``out`` (a uint64 array of ``values``' shape) if
+    given, else to a fresh copy; ``out=values`` hashes in place.
     """
-    state = values.astype(np.uint64)  # the one copy; every step below is in place
-    state ^= _U(mix64((seed ^ _SEED_TWEAK) & MASK64))
-    _mix_inplace(state)
-    state ^= _U(8)  # byte length of one u64 block
-    _mix_inplace(state)
+    if out is None:
+        state = values.astype(np.uint64)
+    else:
+        state = _checked_out(out, values.shape, np.uint64)
+        if state is not values:
+            np.copyto(state, values, casting="unsafe")
+    start = _U(mix64((seed ^ _SEED_TWEAK) & MASK64))
+    for blk in _blocks(len(state)):
+        v = state[blk]
+        v ^= start
+        _mix_block(v)
+        v ^= _U(8)  # byte length of one u64 block
+        _mix_block(v)
     return state
 
 
@@ -191,24 +223,30 @@ def rho(y: int, width: int) -> int:
     return (y & -y).bit_length()
 
 
-def rho_array(y: np.ndarray, width: int) -> np.ndarray:
+def rho_array(y: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized :func:`rho` on a uint64 array, as int64 ranks.
 
     Reads only the low ``width`` bits of each word:
     ``rho_array(y, w) == rho(y & (2**w - 1), w)``, so callers need not
-    mask.  ``~y & (y - 1)`` keeps exactly the trailing zeros of ``y``
-    (all 64 bits for ``y == 0``), and clamping their count at ``width``
-    is the saturation of :func:`rho`.
+    mask.  ``y ^ (y - 1)`` sets exactly the trailing zeros of ``y`` and
+    its lowest set bit (all 64 bits for ``y == 0``), so its popcount is
+    the rank, and clamping it at ``width + 1`` is the saturation of
+    :func:`rho`.  The ranks go to ``out`` (an int64 array of ``y``'s
+    shape) if given.
     """
     if not 1 <= width <= 64:
         raise ValueError(f"width must be in [1, 64], got {width}")
     y = y.astype(np.uint64, copy=False)
-    rank = np.empty(y.shape, dtype=np.int64)
+    rank = np.empty(y.shape, dtype=np.int64) if out is None else _checked_out(out, y.shape, np.int64)
+    cap = np.int64(width + 1)
     for blk in _blocks(len(y)):
-        trailing = y[blk] - _U(1)
-        trailing &= ~y[blk]
-        rank[blk] = np.minimum(np.bitwise_count(trailing), np.uint8(width))
-    rank += 1
+        v, r = y[blk], rank[blk]
+        low = v - _U(1)
+        low ^= v
+        np.bitwise_count(low, out=r)
+        np.minimum(r, cap, out=r)
+    if width == 64:
+        rank[y == 0] = 65  # the one rank a popcount of 64 bits cannot reach
     return rank
 
 
@@ -230,35 +268,63 @@ def top_bits_precision(m: int) -> int | None:
     return b if m == 1 << b and b in PRECISIONS else None
 
 
+def check_registers(m: int) -> int:
+    """``m`` if it is a register count in ``[1, 2**32]``, else ValueError.
+
+    Above ``2**32`` the 32/32 bucket ``(m * top32) >> 32`` would wrap a
+    64-bit word.
+    """
+    if not 1 <= m <= 1 << 32:
+        raise ValueError(f"register count must be in [1, 2**32], got {m}")
+    return m
+
+
 def split_hash(raw: int, m: int) -> tuple[int, int]:
     """Split a digest for an arbitrary register count ``m``.
 
     Power-of-two ``m`` uses the classic top-bits layout.  Otherwise the
     bucket is ``(m * top32) >> 32`` and the rank comes from the low 32
-    bits, so bucket and rank stay independent.
+    bits, so bucket and rank stay independent.  ``m`` above ``2**32``
+    raises ValueError.
     """
     b = top_bits_precision(m)
     if b is not None:
         w = 64 - b
         return raw >> w, rho(raw & ((1 << w) - 1), w)
+    check_registers(m)
     return (m * (raw >> 32)) >> 32, rho(raw & 0xFFFFFFFF, 32)
 
 
-def split_hash_array(raw: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def split_hash_array(raw: np.ndarray, m: int, out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`split_hash`; returns int64 (buckets, ranks).
 
-    ``raw`` is left as it is.  Both bucket formulas leave the top bit
-    clear, so the bucket array is the shifted words viewed as int64.
+    ``raw`` is left as it is.  The pair goes to ``out``, two int64 arrays
+    of ``raw``'s shape that do not overlap it, if given.  Both bucket
+    formulas leave the top bit clear, so the buckets are computed on
+    their array viewed as uint64.
     """
-    raw = raw.astype(np.uint64, copy=False)
     b = top_bits_precision(m)
+    if b is None:
+        check_registers(m)
+    raw = raw.astype(np.uint64, copy=False)
+    if out is None:
+        bucket, rank = np.empty(raw.shape, np.int64), np.empty(raw.shape, np.int64)
+    elif isinstance(out, tuple) and len(out) == 2:
+        bucket, rank = (_checked_out(a, raw.shape, np.int64) for a in out)
+    else:
+        raise ValueError(f"out must be a (bucket, rank) pair of arrays, got {type(out).__name__}")
+    lanes = bucket.view(np.uint64)
     if b is not None:
         w = 64 - b
-        return (raw >> _U(w)).view(np.int64), rho_array(raw, w)
-    bucket = raw >> _U(32)
-    bucket *= _U(m)
-    bucket >>= _U(32)
-    return bucket.view(np.int64), rho_array(raw, 32)
+        np.right_shift(raw, _U(w), out=lanes)
+    else:
+        w = 32
+        np.right_shift(raw, _U(32), out=lanes)
+        lanes *= _U(m)
+        lanes >>= _U(32)
+    rho_array(raw, w, out=rank)
+    return bucket, rank
 
 
 def geo_width(m: int) -> int:
@@ -267,15 +333,19 @@ def geo_width(m: int) -> int:
     return 32 if b is None else 64 - b
 
 
-def stream_u64(n: int, stream_seed: int) -> np.ndarray:
+def stream_u64(n: int, stream_seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """A synthetic stream of exactly ``n`` distinct 64-bit elements.
 
     Seeded counters through the bijective mixer: injective, hence exactly
     ``n`` distinct values, with no coupon-collector correction needed.
     The seed itself is mixed first so that nearby seeds (trial indices)
     yield counter blocks that are astronomically unlikely to overlap.
+    The stream goes to ``out`` (a uint64 array of shape ``(n,)``) if given.
     """
-    stream = np.arange(n, dtype=np.uint64)
-    stream += _U(mix64(stream_seed & MASK64))
-    _mix_inplace(stream)
+    stream = np.empty(n, dtype=np.uint64) if out is None else _checked_out(out, (n,), np.uint64)
+    start = mix64(stream_seed & MASK64)
+    for blk in _blocks(n):
+        v = stream[blk]
+        np.add(_IOTA[:len(v)], _U((start + blk.start) & MASK64), out=v)
+        _mix_block(v)
     return stream

@@ -37,13 +37,19 @@ same 64-bit hashes.  One call cuts its trials into blocks, and a block
 runs its trials for every kind of the call: it hashes each trial's
 stream once, splits the hashes once per distinct register count ``m``
 (matched-memory kinds differ in ``m``), and hands that read-only split
-to each kind of that ``m`` before the next ``m`` is split.  The hashes
-live while all of a trial's kinds run, about 0.8 MB at n = 10^5 and
-8 MB at n = 10^6 per worker.  Blocks run in-process at ``workers=1``,
-otherwise through a single process pool, forked after every kind's bias
-constant is cached, so the pool starts once per call.  Blocks are filed
-by their first trial, so any worker count yields the same aggregate rows
-as a sequential run.
+to each kind of that ``m`` before the next ``m`` is split.  Blocks run
+in-process at ``workers=1``, otherwise through a single process pool,
+forked after every kind's bias constant is cached, so the pool starts
+once per call.  Blocks are filed by their first trial, so any worker
+count yields the same aggregate rows as a sequential run.
+
+Each process of a call keeps one workspace of three ``n``-word arrays
+(hashes, bucket, rank), about 2.4 MB at n = 10^5 and 24 MB at n = 10^6:
+:func:`_estimates` makes it at ``workers=1``, and each pool worker at
+its start.  Every trial is streamed, hashed and split into it, so a
+trial after the first writes to no fresh pages, and a worker's peak
+stays at what one trial's fresh arrays took.  The caller keeps nothing
+of it after the call returns.
 """
 
 from __future__ import annotations
@@ -159,9 +165,8 @@ def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
     reads instead of hashing the stream itself.
     """
     if pairs is None:
-        # nested, so the stream and its hashes are freed before the sketch allocates
-        pairs = split_hash_array(
-            hash64_u64_array(stream_u64(n, trial_stream_seed(seed, trial)), seed), m)
+        # nested, so the hashes are freed before the sketch allocates
+        pairs = split_hash_array(_trial_hashes(n, seed, trial), m)
     bucket, geo = pairs
     if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
@@ -175,28 +180,53 @@ def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
     return out
 
 
-def _trial_block(args) -> tuple[int, dict[str, np.ndarray]]:
+def _trial_hashes(n: int, seed: int, trial: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The trial's stream, hashed in place: in ``out`` (``n`` uint64 words) if given."""
+    stream = stream_u64(n, trial_stream_seed(seed, trial), out=out)
+    return hash64_u64_array(stream, seed, out=stream)
+
+
+def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers of ``n`` words for one trial's hashes, buckets and ranks."""
+    return np.empty(n, np.uint64), np.empty(n, np.int64), np.empty(n, np.int64)
+
+
+#: A pool worker's workspace, made once by :func:`_start_worker`; None elsewhere.
+_worker_space: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _start_worker(n: int) -> None:
+    """Pool initializer: the worker's workspace for every block it runs."""
+    global _worker_space
+    _worker_space = _workspace(n)
+
+
+def _trial_block(args, space: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[int, dict[str, np.ndarray]]:
     """Trials ``[lo, hi)`` of every kind: one hash per trial, one split per m.
 
-    Each split is read-only, shared by the kinds of its m, and dropped
-    before the next m is split.
+    Every trial hashes into the same ``space`` (hashes, bucket, rank),
+    which defaults to the pool worker's, else a fresh one, so trials
+    after the first allocate nothing of the stream's size.  Each split is
+    read-only to the kinds of its m, which share it, and the next m
+    overwrites it.
     """
     sizes, n, positions, seed, lo, hi, martingale, asymptotic = args
+    hashes, bucket, rank = space or _worker_space or _workspace(n)
+    pairs = bucket.view(), rank.view()
+    for arr in pairs:
+        arr.setflags(write=False)
     by_m: dict[int, list[str]] = {}
     for kind, m in sizes.items():
         by_m.setdefault(m, []).append(kind)
     blocks = {kind: np.empty((hi - lo, len(positions))) for kind in sizes}
     for t in range(lo, hi):
-        hashes = hash64_u64_array(stream_u64(n, trial_stream_seed(seed, t)), seed)
+        _trial_hashes(n, seed, t, out=hashes)
         for m, kinds in by_m.items():
-            pairs = split_hash_array(hashes, m)
-            for arr in pairs:
-                arr.setflags(write=False)
+            split_hash_array(hashes, m, out=(bucket, rank))
             for kind in kinds:
                 blocks[kind][t - lo] = run_trial(kind, m, n, positions, seed, t,
                                                  martingale, asymptotic, pairs=pairs)
-            del pairs
-        del hashes
     return lo, blocks
 
 
@@ -221,12 +251,14 @@ def _estimates(config: SimulationConfig) -> dict[str, np.ndarray]:
               min(lo + chunk, config.trials), config.martingale, config.asymptotic)
              for lo in range(0, config.trials, chunk)]
     if config.workers == 1:
-        blocks = list(map(_trial_block, tasks))
+        space = _workspace(config.n)
+        blocks = [_trial_block(task, space) for task in tasks]
     else:
         # imported here: the pool machinery is most of this module's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_start_worker,
+                                 initargs=(config.n,)) as pool:
             blocks = list(pool.map(_trial_block, tasks))
     out = {kind: np.empty((config.trials, len(positions))) for kind in config.kinds}
     for lo, block in blocks:

@@ -55,6 +55,7 @@ from . import analysis
 from .hashing import (
     MASK64,
     check_precision,
+    check_registers,
     geo_width,
     hash64,
     hash64_tokens,
@@ -92,9 +93,7 @@ def _resolve_size(b: int | None, m: int | None) -> int:
         raise ValueError("specify exactly one of b (power-of-two) or m")
     if b is not None:
         return 1 << check_precision(b)
-    if m < 1:
-        raise ValueError("register count must be >= 1")
-    return m
+    return check_registers(m)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,95 @@ def test_array_kernels_leave_inputs_unmodified():
         assert rho_array(ys, 32).dtype == np.int64 and np.array_equal(ys, before)
 
 
+_EDGE_WORDS = [0, 1, 1 << 63, 2**64 - 1]
+
+
+def _garbage(rng, n, dtype):
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False).view(dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=st.lists(_WORDS, max_size=60),
+       m=st.sampled_from([1, 3, 16, 1024, 1195, 1280, 2**18]),
+       width=st.integers(1, 64), seed=st.integers(0, 2**64 - 1),
+       junk=st.integers(0, 2**32))
+def test_out_forms_equal_the_allocating_forms(words, m, width, seed, junk):
+    rng = np.random.default_rng(junk)
+    raw = np.array(words + _EDGE_WORDS, dtype=np.uint64)
+    n = len(raw)
+    before = raw.copy()
+
+    out = _garbage(rng, n, np.int64)
+    assert rho_array(raw, width, out=out) is out
+    assert out.tolist() == rho_array(raw, width).tolist()
+
+    pair = _garbage(rng, n, np.int64), _garbage(rng, n, np.int64)
+    got = split_hash_array(raw, m, out=pair)
+    assert got[0] is pair[0] and got[1] is pair[1]
+    expected = split_hash_array(raw, m)
+    assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+
+    out = _garbage(rng, n, np.uint64)
+    assert hash64_u64_array(raw, seed, out=out) is out
+    assert out.tolist() == hash64_u64_array(raw, seed).tolist()
+    signed = raw.view(np.int64)
+    assert hash64_u64_array(signed, seed, out=out).tolist() == out.tolist()
+    assert np.array_equal(raw, before)
+
+    out = _garbage(rng, n, np.uint64)
+    assert stream_u64(n, seed, out=out) is out
+    assert out.tolist() == stream_u64(n, seed).tolist()
+
+
+def test_hash64_u64_array_hashes_in_place():
+    x = np.array(_EDGE_WORDS + list(range(2, 20_000)), dtype=np.uint64)
+    expected = hash64_u64_array(x, 9)
+    assert hash64_u64_array(x, 9, out=x) is x
+    assert np.array_equal(x, expected)
+
+
+def test_an_out_of_the_wrong_dtype_or_shape_is_refused():
+    raw = np.arange(10, dtype=np.uint64)
+    good = np.empty(10, np.int64)
+    bad = {
+        "dtype": (np.empty(10, np.uint64), np.empty(10, np.int32), np.empty(10)),
+        "shape": (np.empty(9, np.int64), np.empty((10, 1), np.int64), np.empty(11, np.int64)),
+    }
+    for out in bad["dtype"] + bad["shape"]:
+        with pytest.raises(ValueError, match="out must be"):
+            rho_array(raw, 32, out=out)
+        for pair in ((out, good), (good, out)):
+            with pytest.raises(ValueError, match="out must be"):
+                split_hash_array(raw, 1195, out=pair)
+    for out in (good, [good, good], (good,), good.tolist()):
+        with pytest.raises(ValueError, match="out must be"):
+            split_hash_array(raw, 1024, out=out)
+    for out in (good, np.empty(10, np.float64), np.empty(9, np.uint64), [0] * 10):
+        with pytest.raises(ValueError, match="out must be"):
+            hash64_u64_array(raw, 1, out=out)
+        with pytest.raises(ValueError, match="out must be"):
+            stream_u64(10, 1, out=out)
+    with pytest.raises(ValueError, match="out must be"):
+        hash64_u64_array(raw.view(np.int64), 1, out=raw.view(np.int64))
+
+
+def test_a_register_count_above_2_to_the_32_is_refused():
+    from ehll.sketches import _resolve_size
+
+    words = np.array(_EDGE_WORDS + [0x123456789ABCDEF0], dtype=np.uint64)
+    top = 2**32  # m * top32 still fits a word: the largest m accepted
+    assert list(zip(*(a.tolist() for a in split_hash_array(words, top)))) == [
+        split_hash(w, top) for w in words.tolist()]
+    assert _resolve_size(None, top) == top
+    for m in (2**32 + 1, 3 * 2**33 + 5, 2**64):
+        with pytest.raises(ValueError, match=r"register count must be in \[1, 2\*\*32\]"):
+            split_hash(int(words[-1]), m)
+        with pytest.raises(ValueError, match=r"register count must be in \[1, 2\*\*32\]"):
+            split_hash_array(words, m)
+        with pytest.raises(ValueError, match=r"register count must be in \[1, 2\*\*32\]"):
+            _resolve_size(None, m)
+
+
 def test_split_hash_examples():
     assert split_hash(0, 1 << 4) == (0, 61)
     raw = (0b1010 << 60) | 0b100

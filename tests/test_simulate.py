@@ -306,6 +306,57 @@ def test_batch_paths_take_read_only_pairs(kind):
     assert np.array_equal(bucket, before[0]) and np.array_equal(geo, before[1])
 
 
+@pytest.mark.parametrize("name", ["matched", "plain"])
+def test_later_trials_of_a_block_allocate_no_stream_sized_array(name, monkeypatch):
+    """A block hashes and splits every trial into one workspace made before its first."""
+    import importlib
+    import tracemalloc
+
+    sim = importlib.import_module("ehll.simulate")  # the package re-exports simulate()
+    cfg = SimulationConfig(b=10, n=100_000, trials=3, checkpoints=50, seed=13,
+                           **_MULTI_KIND[name])
+    sizes = {kind: cfg.registers_for(kind) for kind in cfg.kinds}
+    marks, stream = [], sim.stream_u64
+
+    def marked(*args, **kwargs):  # (current, peak since the last mark) at each trial's start
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "stream_u64", marked)
+    tracemalloc.start()
+    try:
+        sim._trial_block((sizes, cfg.n, cfg.checkpoint_positions(), cfg.seed, 0, cfg.trials,
+                          cfg.martingale, cfg.asymptotic))
+        marks.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == cfg.trials + 1
+    # what trial t allocated above the memory it started with: under half of one
+    # array of n words, where hashing into fresh arrays would take three
+    grown = [marks[t + 1][1] - marks[t][0] for t in range(1, cfg.trials)]
+    assert max(grown) < 8 * cfg.n // 2, grown
+
+
+def test_a_sequential_call_leaves_no_workspace_behind():
+    import importlib
+    import tracemalloc
+
+    sim = importlib.import_module("ehll.simulate")
+    cfg = SimulationConfig(b=10, n=100_000, trials=3, checkpoints=5, seed=13,
+                           **_MULTI_KIND["matched"])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = sim._estimates(cfg)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 8 * cfg.n // 2  # the estimate matrices, not a buffer of n words
+    assert sum(m.nbytes for m in got.values()) <= left
+    assert sim._worker_space is None
+
+
 def test_one_pool_per_simulate_call(monkeypatch):
     import concurrent.futures
 
