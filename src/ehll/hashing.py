@@ -309,11 +309,8 @@ def split_hash_array(raw: np.ndarray, m: int, out: tuple[np.ndarray, np.ndarray]
         check_registers(m)
     raw = raw.astype(np.uint64, copy=False)
     if out is None:
-        bucket, rank = np.empty(raw.shape, np.int64), np.empty(raw.shape, np.int64)
-    elif isinstance(out, tuple) and len(out) == 2:
-        bucket, rank = (_checked_out(a, raw.shape, np.int64) for a in out)
-    else:
-        raise ValueError(f"out must be a (bucket, rank) pair of arrays, got {type(out).__name__}")
+        out = np.empty(raw.shape, np.int64), np.empty(raw.shape, np.int64)
+    bucket, rank = (_checked_out(a, raw.shape, np.int64) for a in out)
     lanes = bucket.view(np.uint64)
     if b is not None:
         w = 64 - b

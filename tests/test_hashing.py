@@ -276,8 +276,8 @@ def test_an_out_of_the_wrong_dtype_or_shape_is_refused():
         for pair in ((out, good), (good, out)):
             with pytest.raises(ValueError, match="out must be"):
                 split_hash_array(raw, 1195, out=pair)
-    for out in (good, [good, good], (good,), good.tolist()):
-        with pytest.raises(ValueError, match="out must be"):
+    for out in (good, good.tolist(), (good,), (good, good, good)):  # not a (bucket, rank) pair
+        with pytest.raises(ValueError):
             split_hash_array(raw, 1024, out=out)
     for out in (good, np.empty(10, np.float64), np.empty(9, np.uint64), [0] * 10):
         with pytest.raises(ValueError, match="out must be"):
