@@ -36,6 +36,8 @@ place.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -255,8 +257,16 @@ PRECISIONS = range(4, 19)
 PRECISION_SPAN = f"[{PRECISIONS[0]}, {PRECISIONS[-1]}]"
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as a Python int, numpy integers included; a bool, float or str is a TypeError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def check_precision(b: int) -> int:
-    """``b`` if it is one of :data:`PRECISIONS`, else ValueError."""
+    """``b`` as an int if it is one of :data:`PRECISIONS`, else ValueError."""
+    b = as_integer(b, "precision b")
     if b not in PRECISIONS:
         raise ValueError(f"precision b must be in {PRECISION_SPAN}, got {b}")
     return b
@@ -264,16 +274,18 @@ def check_precision(b: int) -> int:
 
 def top_bits_precision(m: int) -> int | None:
     """``b`` if ``m = 2**b`` with ``b`` in :data:`PRECISIONS` (the top-bits layout), else None."""
+    m = as_integer(m, "register count")
     b = m.bit_length() - 1
     return b if m == 1 << b and b in PRECISIONS else None
 
 
 def check_registers(m: int) -> int:
-    """``m`` if it is a register count in ``[1, 2**32]``, else ValueError.
+    """``m`` as an int if it is a register count in ``[1, 2**32]``, else ValueError.
 
     Above ``2**32`` the 32/32 bucket ``(m * top32) >> 32`` would wrap a
     64-bit word.
     """
+    m = as_integer(m, "register count")
     if not 1 <= m <= 1 << 32:
         raise ValueError(f"register count must be in [1, 2**32], got {m}")
     return m
@@ -291,7 +303,7 @@ def split_hash(raw: int, m: int) -> tuple[int, int]:
     if b is not None:
         w = 64 - b
         return raw >> w, rho(raw & ((1 << w) - 1), w)
-    check_registers(m)
+    m = check_registers(m)
     return (m * (raw >> 32)) >> 32, rho(raw & 0xFFFFFFFF, 32)
 
 
@@ -306,7 +318,7 @@ def split_hash_array(raw: np.ndarray, m: int, out: tuple[np.ndarray, np.ndarray]
     """
     b = top_bits_precision(m)
     if b is None:
-        check_registers(m)
+        m = check_registers(m)
     raw = raw.astype(np.uint64, copy=False)
     if out is None:
         out = np.empty(raw.shape, np.int64), np.empty(raw.shape, np.int64)

@@ -33,23 +33,23 @@ as their chunk finds it, 6-7% of the pairs at n = 10^5 and m = 1024.
 A trial's stream, hashes and (bucket, rank) pairs come from the in-place
 array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived
 from ``(seed, trial index)`` alone, so every kind of a call sees the
-same 64-bit hashes.  One call cuts its trials into blocks, and a block
-runs its trials for every kind of the call: it hashes each trial's
-stream once, splits the hashes once per distinct register count ``m``
-(matched-memory kinds differ in ``m``), and hands that read-only split
-to each kind of that ``m`` before the next ``m`` is split.  Blocks run
-in-process at ``workers=1``, otherwise through a single process pool,
-forked after every kind's bias constant is cached, so the pool starts
-once per call.  Blocks are filed by their first trial, so any worker
-count yields the same aggregate rows as a sequential run.
+same 64-bit hashes.  One call cuts its trials evenly into one block per
+worker, and a block runs its trials for every kind of the call: it
+hashes each trial's stream once, splits the hashes once per distinct
+register count ``m`` (matched-memory kinds differ in ``m``), and hands
+that read-only split to each kind of that ``m`` before the next ``m`` is
+split.  The one block runs in-process at ``workers=1``, otherwise the
+blocks run through a single process pool, forked after every kind's
+bias constant is cached, so the pool starts once per call.  Blocks are
+filed by their first trial, so any worker count yields the same
+aggregate rows as a sequential run.
 
-Each process of a call keeps one workspace of three ``n``-word arrays
-(hashes, bucket, rank), about 2.4 MB at n = 10^5 and 24 MB at n = 10^6:
-:func:`_estimates` makes it at ``workers=1``, and each pool worker at
-its start.  Every trial is streamed, hashed and split into it, so a
-trial after the first writes to no fresh pages, and a worker's peak
-stays at what one trial's fresh arrays took.  The caller keeps nothing
-of it after the call returns.
+Each block owns one workspace of three ``n``-word arrays (hashes,
+bucket, rank), about 2.4 MB at n = 10^5 and 24 MB at n = 10^6, which it
+allocates before its first trial.  Every trial is streamed, hashed and
+split into it, so a trial after the first writes to no fresh pages, and
+a process's peak stays at what one trial's fresh arrays took.  Nothing
+of it outlives the block, and no state is kept between calls.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import numpy as np
 from .hashing import (
     MASK64,
     _SEED_TWEAK,
+    as_integer,
     check_precision,
     hash64_u64_array,
     mix64,
@@ -85,6 +86,8 @@ class SimulationConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("b", "n", "trials", "checkpoints", "seed", "workers"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         check_precision(self.b)
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
@@ -94,6 +97,8 @@ class SimulationConfig:
             raise ValueError("n must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if isinstance(self.kinds, str):
+            raise ValueError(f"kinds must be a sequence of sketch kinds, got {self.kinds!r}")
         if not self.kinds:
             raise ValueError("a campaign needs at least one sketch kind")
         for kind in self.kinds:
@@ -186,81 +191,63 @@ def _trial_hashes(n: int, seed: int, trial: int, out: np.ndarray | None = None) 
     return hash64_u64_array(stream, seed, out=stream)
 
 
-def _workspace(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers of ``n`` words for one trial's hashes, buckets and ranks."""
-    return np.empty(n, np.uint64), np.empty(n, np.int64), np.empty(n, np.int64)
-
-
-#: A pool worker's workspace, made once by :func:`_start_worker`; None elsewhere.
-_worker_space: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def _start_worker(n: int) -> None:
-    """Pool initializer: the worker's workspace for every block it runs."""
-    global _worker_space
-    _worker_space = _workspace(n)
-
-
-def _trial_block(args, space: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                 ) -> tuple[int, dict[str, np.ndarray]]:
+def _trial_block(args: tuple[SimulationConfig, int, int]) -> tuple[int, dict[str, np.ndarray]]:
     """Trials ``[lo, hi)`` of every kind: one hash per trial, one split per m.
 
-    Every trial hashes into the same ``space`` (hashes, bucket, rank),
-    which defaults to the pool worker's, else a fresh one, so trials
-    after the first allocate nothing of the stream's size.  Each split is
-    read-only to the kinds of its m, which share it, and the next m
-    overwrites it.
+    The block allocates one workspace (hashes, bucket, rank) before its
+    first trial and hashes every trial into it, so trials after the first
+    allocate nothing of the stream's size.  Each split is read-only to
+    the kinds of its m, which share it, and the next m overwrites it.
     """
-    sizes, n, positions, seed, lo, hi, martingale, asymptotic = args
-    hashes, bucket, rank = space or _worker_space or _workspace(n)
+    config, lo, hi = args
+    n, positions = config.n, config.checkpoint_positions()
+    hashes = np.empty(n, np.uint64)
+    bucket, rank = np.empty(n, np.int64), np.empty(n, np.int64)
     pairs = bucket.view(), rank.view()
     for arr in pairs:
         arr.setflags(write=False)
     by_m: dict[int, list[str]] = {}
-    for kind, m in sizes.items():
-        by_m.setdefault(m, []).append(kind)
-    blocks = {kind: np.empty((hi - lo, len(positions))) for kind in sizes}
+    for kind in config.kinds:
+        by_m.setdefault(config.registers_for(kind), []).append(kind)
+    blocks = {kind: np.empty((hi - lo, len(positions))) for kind in config.kinds}
     for t in range(lo, hi):
-        _trial_hashes(n, seed, t, out=hashes)
+        _trial_hashes(n, config.seed, t, out=hashes)
         for m, kinds in by_m.items():
             split_hash_array(hashes, m, out=(bucket, rank))
             for kind in kinds:
-                blocks[kind][t - lo] = run_trial(kind, m, n, positions, seed, t,
-                                                 martingale, asymptotic, pairs=pairs)
+                blocks[kind][t - lo] = run_trial(kind, m, n, positions, config.seed, t,
+                                                 config.martingale, config.asymptotic,
+                                                 pairs=pairs)
     return lo, blocks
 
 
 def _estimates(config: SimulationConfig) -> dict[str, np.ndarray]:
     """Per kind, the (trials, checkpoints) estimate matrix of the campaign.
 
-    The trials are cut into blocks, each run for every kind of the call:
-    in this process at ``workers=1``, else through one process pool for
-    the whole call.  Blocks are filed by their first trial, so the
-    matrices do not depend on the worker count or on the order blocks
-    finish in.
+    The trials are cut evenly into one block per worker, each run for
+    every kind of the call: in this process at ``workers=1``, else
+    through one process pool for the whole call.  Blocks are filed by
+    their first trial, so the matrices do not depend on the worker count
+    or on the order blocks finish in.
     """
-    positions = config.checkpoint_positions()
-    sizes = {kind: config.registers_for(kind) for kind in config.kinds}
     if not config.martingale:
         # quadrature here, once per kind: forked workers inherit the cached constants
-        for kind, m in sizes.items():
+        for kind in config.kinds:
             if kind != "pcsa":
-                bias_constant(m, SKETCHES[kind].neighbor_bit, config.asymptotic)
-    chunk = -(-config.trials // (config.workers * 4))
-    tasks = [(sizes, config.n, positions, config.seed, lo,
-              min(lo + chunk, config.trials), config.martingale, config.asymptotic)
-             for lo in range(0, config.trials, chunk)]
-    if config.workers == 1:
-        space = _workspace(config.n)
-        blocks = [_trial_block(task, space) for task in tasks]
+                bias_constant(config.registers_for(kind), SKETCHES[kind].neighbor_bit,
+                              config.asymptotic)
+    k = min(config.workers, config.trials)
+    tasks = [(config, i * config.trials // k, (i + 1) * config.trials // k) for i in range(k)]
+    if k == 1:
+        blocks = [_trial_block(tasks[0])]
     else:
         # imported here: the pool machinery is most of this module's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_start_worker,
-                                 initargs=(config.n,)) as pool:
+        with ProcessPoolExecutor(max_workers=k) as pool:
             blocks = list(pool.map(_trial_block, tasks))
-    out = {kind: np.empty((config.trials, len(positions))) for kind in config.kinds}
+    out = {kind: np.empty((config.trials, len(config.checkpoint_positions())))
+           for kind in config.kinds}
     for lo, block in blocks:
         for kind, rows in block.items():
             out[kind][lo:lo + len(rows)] = rows

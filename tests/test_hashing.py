@@ -305,6 +305,43 @@ def test_a_register_count_above_2_to_the_32_is_refused():
             _resolve_size(None, m)
 
 
+@pytest.mark.parametrize("np_int", [np.int64, np.uint32, np.int16])
+def test_numpy_integer_sizes_act_as_python_ints(np_int):
+    from ehll.sketches import EhllSketch, HllSketch
+
+    words = np.array(_EDGE_WORDS + [0x123456789ABCDEF0], dtype=np.uint64)
+    for m in (1000, 1024):
+        assert split_hash(int(words[-1]), np_int(m)) == split_hash(int(words[-1]), m)
+        got, want = split_hash_array(words, np_int(m)), split_hash_array(words, m)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    stream = hash64_u64_array(stream_u64(3000, 5), 5)
+    for kind, size in ((EhllSketch, dict(b=10)), (EhllSketch, dict(m=1024)),
+                       (HllSketch, dict(m=1195))):
+        sketch = kind(**{key: np_int(v) for key, v in size.items()})
+        ref = kind(**size)
+        assert type(sketch.m) is int
+        for element in (b"a", 7, "token"):
+            sketch.insert(element)
+            ref.insert(element)
+        sketch.insert_batch(stream)
+        ref.insert_batch(stream)
+        assert sketch == ref
+
+
+@pytest.mark.parametrize("bad", [1024.0, True, False, "1024"])
+def test_a_size_that_is_not_an_integer_raises_type_error(bad):
+    from ehll.sketches import EhllSketch
+
+    with pytest.raises(TypeError, match="register count must be an integer"):
+        EhllSketch(m=bad)
+    with pytest.raises(TypeError, match="precision b must be an integer"):
+        EhllSketch(b=bad)
+    with pytest.raises(TypeError, match="register count must be an integer"):
+        split_hash(5, bad)
+    with pytest.raises(TypeError, match="register count must be an integer"):
+        split_hash_array(np.arange(4, dtype=np.uint64), bad)
+
+
 def test_split_hash_examples():
     assert split_hash(0, 1 << 4) == (0, 61)
     raw = (0b1010 << 60) | 0b100

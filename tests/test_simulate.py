@@ -41,6 +41,19 @@ def test_config_validation():
     for b in (3, 19, 40):  # outside the precisions a sketch accepts
         with pytest.raises(ValueError, match=r"precision b must be in \[4, 18\]"):
             SimulationConfig(kinds=("ehll",), b=b)
+    for field in ("b", "n", "trials", "checkpoints", "seed", "workers"):
+        for bad in (2.0, True, "2"):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                SimulationConfig(kinds=("hll",), **{field: bad})
+    with pytest.raises(ValueError, match="sequence of sketch kinds"):
+        SimulationConfig(kinds="hll")
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    fields = dict(b=4, n=300, trials=4, checkpoints=3, seed=13, workers=2)
+    cfg = SimulationConfig(kinds=("ehll", "hll"), **{k: np.int64(v) for k, v in fields.items()})
+    assert cfg == SimulationConfig(kinds=("ehll", "hll"), **fields)
+    assert all(type(getattr(cfg, k)) is int for k in fields)
 
 
 def test_matched_memory_register_counts():
@@ -236,6 +249,12 @@ def test_multi_kind_simulate_is_worker_independent(name):
     assert csvs[2] == csvs[1] and csvs[3] == csvs[1]
 
 
+def test_more_workers_than_trials_is_the_sequential_campaign():
+    cfgs = [SimulationConfig(b=4, n=300, trials=2, checkpoints=3, seed=13, workers=workers,
+                             **_MULTI_KIND["matched"]) for workers in (1, 3)]
+    assert rows_to_csv(simulate(cfgs[1])) == rows_to_csv(simulate(cfgs[0]))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(_MULTI_KIND))
 def test_every_kind_matrix_equals_its_own_trials(name, workers):
@@ -315,7 +334,6 @@ def test_later_trials_of_a_block_allocate_no_stream_sized_array(name, monkeypatc
     sim = importlib.import_module("ehll.simulate")  # the package re-exports simulate()
     cfg = SimulationConfig(b=10, n=100_000, trials=3, checkpoints=50, seed=13,
                            **_MULTI_KIND[name])
-    sizes = {kind: cfg.registers_for(kind) for kind in cfg.kinds}
     marks, stream = [], sim.stream_u64
 
     def marked(*args, **kwargs):  # (current, peak since the last mark) at each trial's start
@@ -326,8 +344,7 @@ def test_later_trials_of_a_block_allocate_no_stream_sized_array(name, monkeypatc
     monkeypatch.setattr(sim, "stream_u64", marked)
     tracemalloc.start()
     try:
-        sim._trial_block((sizes, cfg.n, cfg.checkpoint_positions(), cfg.seed, 0, cfg.trials,
-                          cfg.martingale, cfg.asymptotic))
+        sim._trial_block((cfg, 0, cfg.trials))
         marks.append(tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -354,25 +371,31 @@ def test_a_sequential_call_leaves_no_workspace_behind():
         tracemalloc.stop()
     assert left < 8 * cfg.n // 2  # the estimate matrices, not a buffer of n words
     assert sum(m.nbytes for m in got.values()) <= left
-    assert sim._worker_space is None
 
 
 def test_one_pool_per_simulate_call(monkeypatch):
     import concurrent.futures
 
-    made = []
+    made, mapped = [], []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
+        def map(self, fn, *iterables, **kwargs):
+            tasks = list(iterables[0])
+            mapped.append(len(tasks))
+            return super().map(fn, tasks, *iterables[1:], **kwargs)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    for workers, pools in ((1, []), (2, [2]), (3, [3])):
+    for workers, trials, pools in ((1, 4, []), (2, 4, [2]), (3, 4, [3]), (3, 2, [2])):
         made.clear()
-        simulate(SimulationConfig(kinds=("ehll", "hll", "hll-tc"), b=4, n=200, trials=4,
+        mapped.clear()
+        simulate(SimulationConfig(kinds=("ehll", "hll", "hll-tc"), b=4, n=200, trials=trials,
                                   checkpoints=2, seed=2, workers=workers))
         assert made == pools
+        assert mapped == [min(workers, trials)] * len(pools)  # one block per worker
 
 
 def test_martingale_simulate_smoke():
