@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--asymptotic-constants", action="store_true",
                    help="use the large-m limits instead of quadrature constants")
     p.add_argument("--paper-scale", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that run trial blocks, this one included")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--svg", help="also render a simple chart")
     p.set_defaults(func=cmd_simulate)

@@ -38,11 +38,12 @@ worker, and a block runs its trials for every kind of the call: it
 hashes each trial's stream once, splits the hashes once per distinct
 register count ``m`` (matched-memory kinds differ in ``m``), and hands
 that read-only split to each kind of that ``m`` before the next ``m`` is
-split.  The one block runs in-process at ``workers=1``, otherwise the
-blocks run through a single process pool, forked after every kind's
-bias constant is cached, so the pool starts once per call.  Blocks are
-filed by their first trial, so any worker count yields the same
-aggregate rows as a sequential run.
+split.  The calling process runs the first block itself, and each
+other block runs in a child process of its own, forked after every
+kind's bias constant is cached and before the caller starts its block;
+a child sends its block's estimates back over a one-way pipe, and
+``workers=1`` starts no child.  Blocks are filed by their first trial,
+so any worker count yields the same aggregate rows as a sequential run.
 
 Each block owns one workspace of three ``n``-word arrays (hashes,
 bucket, rank), about 2.4 MB at n = 10^5 and 24 MB at n = 10^6, which it
@@ -88,6 +89,11 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("b", "n", "trials", "checkpoints", "seed", "workers"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name in ("martingale", "match_memory", "asymptotic"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         check_precision(self.b)
         if self.trials < 2:
             raise ValueError("trials must be >= 2")
@@ -221,31 +227,73 @@ def _trial_block(args: tuple[SimulationConfig, int, int]) -> tuple[int, dict[str
     return lo, blocks
 
 
+def _send_block(conn, task: tuple[SimulationConfig, int, int]) -> None:
+    """A child's block: send its result, or the exception it raised, to the caller.
+
+    The exception reaches the caller without the child's stack, so the
+    child prints its traceback to stderr first.
+    """
+    try:
+        result = _trial_block(task)
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def _estimates(config: SimulationConfig) -> dict[str, np.ndarray]:
     """Per kind, the (trials, checkpoints) estimate matrix of the campaign.
 
     The trials are cut evenly into one block per worker, each run for
-    every kind of the call: in this process at ``workers=1``, else
-    through one process pool for the whole call.  Blocks are filed by
-    their first trial, so the matrices do not depend on the worker count
-    or on the order blocks finish in.
+    every kind of the call.  This process runs the block of trial 0, and
+    each other block runs in a child process of its own, forked before
+    this one starts its block and sending its result back over a one-way
+    pipe; ``workers=1`` starts no child.  Blocks are filed by their first
+    trial, so the matrices do not depend on the worker count or on the
+    order blocks finish in.  If a block fails, so does the call, and no
+    child outlives it.
     """
     if not config.martingale:
-        # quadrature here, once per kind: forked workers inherit the cached constants
+        # quadrature here, once per kind: forked children inherit the cached constants
         for kind in config.kinds:
             if kind != "pcsa":
                 bias_constant(config.registers_for(kind), SKETCHES[kind].neighbor_bit,
                               config.asymptotic)
     k = min(config.workers, config.trials)
     tasks = [(config, i * config.trials // k, (i + 1) * config.trials // k) for i in range(k)]
-    if k == 1:
-        blocks = [_trial_block(tasks[0])]
-    else:
-        # imported here: the pool machinery is most of this module's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=k) as pool:
-            blocks = list(pool.map(_trial_block, tasks))
+    if k > 1:
+        # imported here: `import ehll` loads this module, and no CLI start should pay for it
+        import multiprocessing
+    blocks, children = [], []
+    try:
+        for task in tasks[1:]:
+            conn, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_block, args=(send, task))
+            child.start()
+            send.close()  # now a child that dies unsent reads as EOF, not as a hang
+            children.append((child, conn))
+        blocks.append(_trial_block(tasks[0]))
+        for child, conn in children:  # receive before joining: a block can outgrow the pipe
+            try:
+                block = conn.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a campaign block process exited with code "
+                                   f"{child.exitcode} before sending its trials") from None
+            if isinstance(block, Exception):
+                raise block
+            blocks.append(block)
+    except BaseException:
+        for child, _ in children:  # a paper-scale block runs for minutes
+            child.terminate()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
     out = {kind: np.empty((config.trials, len(config.checkpoint_positions())))
            for kind in config.kinds}
     for lo, block in blocks:

@@ -465,6 +465,14 @@ def test_cli_import_and_martingale_run_leave_scipy_unloaded(tmp_path):
     assert out.splitlines()[-1] == "scipy False 0"
 
 
+def test_cli_import_loads_no_process_machinery():
+    # simulate() imports multiprocessing only when it starts a child
+    out = _fresh_python("import sys, ehll.cli\n"
+                        "print(sorted(name for name in sys.modules\n"
+                        "             if name.partition('.')[0] in ('multiprocessing', 'concurrent')))")
+    assert out == "[]\n"
+
+
 def test_only_the_oracle_commands_import_the_oracle(tmp_path):
     path = tmp_path / "tok.txt"
     path.write_text("".join(f"t{i}\n" for i in range(300)))

@@ -1,5 +1,9 @@
 """Simulation harness: vectorized paths vs reference sketches, determinism."""
 
+import importlib
+import os
+import signal
+import time
 from collections import Counter
 
 import numpy as np
@@ -47,6 +51,17 @@ def test_config_validation():
                 SimulationConfig(kinds=("hll",), **{field: bad})
     with pytest.raises(ValueError, match="sequence of sketch kinds"):
         SimulationConfig(kinds="hll")
+    for flag in ("martingale", "match_memory", "asymptotic"):
+        for bad in ("no", 0, 1, 1.0, None, np.int64(1)):
+            with pytest.raises(TypeError, match=f"{flag} must be a bool"):
+                SimulationConfig(kinds=("hll",), **{flag: bad})
+
+
+def test_config_takes_numpy_bools_as_python_bools():
+    flags = dict(martingale=True, match_memory=False, asymptotic=True)
+    cfg = SimulationConfig(kinds=("ehll", "hll"), **{k: np.bool_(v) for k, v in flags.items()})
+    assert cfg == SimulationConfig(kinds=("ehll", "hll"), **flags)
+    assert all(type(getattr(cfg, k)) is bool for k in flags)
 
 
 def test_config_takes_numpy_integers_as_python_ints():
@@ -205,7 +220,7 @@ def test_pool_workers_inherit_constants_from_the_parent():
     cfg = SimulationConfig(kinds=("ehll", "hll"), b=4, n=300, trials=4,
                            checkpoints=2, seed=1, workers=2)
     simulate(cfg)
-    # computed in this process before the pool forked, not only in the workers
+    # computed in this process before the children forked, not only in the children
     assert set(analysis._cache) == {("ehll", 16), ("hll", 16)}
 
 
@@ -275,8 +290,6 @@ def test_every_kind_matrix_equals_its_own_trials(name, workers):
 
 @pytest.mark.parametrize("name", sorted(_MULTI_KIND))
 def test_one_stream_hash_per_trial_and_one_split_per_m(name, monkeypatch):
-    import importlib
-
     sim = importlib.import_module("ehll.simulate")  # the package re-exports simulate()
     calls, writable = Counter(), []
 
@@ -328,7 +341,6 @@ def test_batch_paths_take_read_only_pairs(kind):
 @pytest.mark.parametrize("name", ["matched", "plain"])
 def test_later_trials_of_a_block_allocate_no_stream_sized_array(name, monkeypatch):
     """A block hashes and splits every trial into one workspace made before its first."""
-    import importlib
     import tracemalloc
 
     sim = importlib.import_module("ehll.simulate")  # the package re-exports simulate()
@@ -356,7 +368,6 @@ def test_later_trials_of_a_block_allocate_no_stream_sized_array(name, monkeypatc
 
 
 def test_a_sequential_call_leaves_no_workspace_behind():
-    import importlib
     import tracemalloc
 
     sim = importlib.import_module("ehll.simulate")
@@ -373,29 +384,105 @@ def test_a_sequential_call_leaves_no_workspace_behind():
     assert sum(m.nbytes for m in got.values()) <= left
 
 
-def test_one_pool_per_simulate_call(monkeypatch):
-    import concurrent.futures
+def _started_processes(monkeypatch) -> list:
+    """The list of every ``multiprocessing.Process`` started from now on, in start order."""
+    import multiprocessing
 
-    made, mapped = [], []
+    started = []
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    class CountingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def map(self, fn, *iterables, **kwargs):
-            tasks = list(iterables[0])
-            mapped.append(len(tasks))
-            return super().map(fn, tasks, *iterables[1:], **kwargs)
+    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+    return started
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    for workers, trials, pools in ((1, 4, []), (2, 4, [2]), (3, 4, [3]), (3, 2, [2])):
-        made.clear()
-        mapped.clear()
+
+def _log_blocks(monkeypatch, log, fail=None):
+    """Wrap ``_trial_block``: log ``pid lo`` per block, then run ``fail(lo)`` if given.
+
+    A forked child inherits the wrapper, and the log file gathers the
+    lines of every process.
+    """
+    sim = importlib.import_module("ehll.simulate")
+    run = sim._trial_block
+
+    def logged(task):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {task[1]}\n")
+        if fail:
+            fail(task[1])
+        return run(task)
+
+    monkeypatch.setattr(sim, "_trial_block", logged)
+
+
+def test_the_caller_runs_the_first_block_and_a_child_runs_each_other(monkeypatch, tmp_path):
+    import multiprocessing
+
+    started = _started_processes(monkeypatch)
+    log = tmp_path / "blocks.log"
+    _log_blocks(monkeypatch, log)
+    for workers, trials in ((1, 4), (2, 4), (3, 4), (3, 2), (2, 5)):
+        started.clear()
+        log.write_text("")
         simulate(SimulationConfig(kinds=("ehll", "hll", "hll-tc"), b=4, n=200, trials=trials,
                                   checkpoints=2, seed=2, workers=workers))
-        assert made == pools
-        assert mapped == [min(workers, trials)] * len(pools)  # one block per worker
+        k = min(workers, trials)
+        assert len(started) == k - 1  # workers=1 starts no process
+        runs = sorted((int(lo), int(pid)) for pid, lo in map(str.split, log.read_text().splitlines()))
+        assert [lo for lo, _ in runs] == [i * trials // k for i in range(k)]  # one block each
+        assert runs[0][1] == os.getpid()  # the caller runs the block of trial 0
+        assert {pid for _, pid in runs[1:]} == {p.pid for p in started}
+        assert not multiprocessing.active_children()
+
+
+def _fails_in_the_last_child(lo):
+    if lo == 2:
+        raise ZeroDivisionError(f"block {lo}")
+
+
+def _exits_in_the_last_child(lo):
+    if lo == 2:
+        os._exit(3)
+
+
+def _fails_in_the_caller(lo):
+    if lo:
+        time.sleep(60)  # a long child block, which the caller must not wait out
+    raise KeyError("the caller's block")
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the call hung")
+
+
+@pytest.mark.parametrize("fail, error, match", [
+    (_fails_in_the_last_child, ZeroDivisionError, "block 2"),
+    (_exits_in_the_last_child, RuntimeError, "exited with code 3"),
+    (_fails_in_the_caller, KeyError, "the caller's block"),
+])
+def test_a_failing_block_fails_the_call_and_leaves_no_process(monkeypatch, tmp_path, capfd,
+                                                              fail, error, match):
+    import multiprocessing
+
+    started = _started_processes(monkeypatch)
+    _log_blocks(monkeypatch, tmp_path / "blocks.log", fail)
+    previous = signal.signal(signal.SIGALRM, _hung)  # a hang fails the test
+    signal.alarm(30)
+    try:
+        with pytest.raises(error, match=match):
+            simulate(SimulationConfig(kinds=("ehll",), b=4, n=200, trials=3, checkpoints=2,
+                                      seed=2, workers=3))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(started) == 2 and not multiprocessing.active_children()
+    if fail is _fails_in_the_caller:  # terminated, not waited for
+        assert [p.exitcode for p in started] == [-signal.SIGTERM] * 2
+    if fail is _fails_in_the_last_child:  # the child's own traceback
+        assert "in _fails_in_the_last_child" in capfd.readouterr().err
 
 
 def test_martingale_simulate_smoke():
