@@ -159,8 +159,9 @@ def cmd_simulate(args) -> int:
     )
     if args.paper_scale:
         config = paper_scale(config)
-        print("warning: paper-scale campaign (25,000 x 10^6) runs for hours",
-              file=sys.stderr)
+        print("warning: paper-scale campaign (25,000 x 10^6): the paper's headline "
+              "configurations take 0.76-0.83 CPU hours, about 25 minutes at "
+              "--workers 2 on a 2-core host (see README)", file=sys.stderr)
     t0 = time.perf_counter()
     rows = simulate(config)
     wall = time.perf_counter() - t0

@@ -16,14 +16,18 @@ bitmap lives packed; a rank sketch's state is its int64 cells, which it
 packs with ``set_values()`` only to build its EHS1 payload (a serialize,
 an ``==``) and decodes with ``values()`` only on a file load.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
-whole-array codec reads each group of eight as one little-endian 64-bit
-word and shifts register ``i`` of the group by ``i * width``: one
-vectorized shift and mask over ``ceil(m / 8)`` words, the same bytes as
-the scalar layout.
+whole-array codec treats each group of eight as one little-endian 64-bit
+word, register ``i`` of the group at bit ``i * width``: the same bytes as
+the scalar layout.  ``values()`` reads the words through one unaligned
+view, ``width`` bytes apart, over a padded copy of the buffer, and
+shifts and masks them into the registers, with no byte staging array;
+``set_values()`` takes each group of eight registers as a row and its
+word as the row's product with the weights ``2^(i * width)``: the
+fields are disjoint, so the sum is their OR.
 
 :class:`BitArray` (PCSA bitmaps, neighbor bits) is the width-1 array with a
 byte-wise codec over the same bytes, ``np.unpackbits``/``np.packbits``,
-4-25x faster there, plus the bitmap operations ``set_ones`` and ``or_with``,
+4-6x faster there, plus the bitmap operations ``set_ones`` and ``or_with``,
 which write only the bytes they change.
 
 Arrays are single-writer: concurrent readers are safe only while no
@@ -86,11 +90,11 @@ class PackedRegisterArray:
     def values(self) -> np.ndarray:
         """Unpack all registers into an int64 array."""
         groups, shifts = self._groups()
-        packed = np.zeros(groups * self.width, dtype=_U8)
-        packed[:len(self.buffer)] = self.buffer
-        raw = np.zeros((groups, 8), dtype=_U8)
-        raw[:, :self.width] = packed.reshape(groups, self.width)
-        vals = raw.view(_WORD) >> shifts
+        # a group's word reads 8 bytes from its first: pad the last group's
+        padded = np.zeros(groups * self.width + 8 - self.width, dtype=_U8)
+        padded[:len(self.buffer)] = self.buffer
+        words = np.ndarray((groups, 1), dtype=_WORD, buffer=padded, strides=(self.width, 0))
+        vals = words >> shifts
         vals &= _WORD.type((1 << self.width) - 1)
         return vals.reshape(-1)[:self.m].view(np.int64)
 
@@ -106,9 +110,12 @@ class PackedRegisterArray:
     def set_values(self, vals: np.ndarray) -> None:
         """Pack an int array of register values into the buffer, in place."""
         groups, shifts = self._groups()
-        lanes = np.zeros((groups, 8), dtype=_WORD)
-        lanes.reshape(-1)[:self.m] = self._checked(vals)
-        words = np.bitwise_or.reduce(lanes << shifts, axis=1)
+        lanes = self._checked(vals).view(_WORD)
+        if self.m % 8:  # zeros fill the partial last group
+            lanes = np.concatenate((lanes, np.zeros(-self.m % 8, dtype=_WORD)))
+        # register i of a group fills bits i * width up, apart from the others,
+        # so summing it times 2^(i * width) ORs it into the word, exactly
+        words = lanes.reshape(groups, 8) @ (_WORD.type(1) << shifts)
         packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
         self.buffer[:] = packed[:len(self.buffer)]
 

@@ -150,9 +150,16 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
 
 
 def estimate_bitmap(present: np.ndarray) -> RawEstimate:
-    """Bitmap (PCSA) estimate from a (buckets, lanes) rank-presence matrix."""
+    """Bitmap (PCSA) estimate from a (buckets, lanes) rank-presence matrix.
+
+    A row's first zero is its ``argmin``, which is 0 also for a row of
+    ones; such a row, and only such a row, holds a one there, and its
+    first zero is ``lanes``.
+    """
+    present = np.asarray(present, dtype=bool)
     m, lanes = present.shape
-    first_zero = np.where(present.all(axis=1), lanes, np.argmin(present, axis=1))
+    first_zero = np.argmin(present, axis=1)
+    first_zero[present.reshape(-1)[np.arange(0, m * lanes, lanes) + first_zero]] = lanes
     return RawEstimate(m / analysis.PCSA_PHI * 2.0 ** float(first_zero.mean()), "raw")
 
 
@@ -168,18 +175,20 @@ def merge_ehll_cells(
     * ranks differ by 1: the smaller side's max *is* the neighbor, bit=1;
     * gap of 2 or more: the smaller side says nothing about ``k - 1``.
 
-    An empty side ``(0, 1)`` is the identity.
+    Both sides must be cells that inserts can produce, where a cell of
+    rank 0 or 1 holds bit 1 (``deserialize`` refuses any other): so an
+    empty side ``(0, 1)`` is the identity, even one rank below a side of
+    rank 1, with no test of which side is empty.
     """
     k_a = np.asarray(k_a, dtype=np.int64)
     k_b = np.asarray(k_b, dtype=np.int64)
     x_a = np.asarray(x_a, dtype=np.int64)
     x_b = np.asarray(x_b, dtype=np.int64)
-    k_hi = np.maximum(k_a, k_b)
-    # ranks one apart; an empty (0, 1) side is the identity, not a neighbor hit
-    x = (k_a + k_b == 2 * k_hi - 1) & (k_a > 0) & (k_b > 0)
-    x |= (x_a == 1) & (k_a == k_hi)  # a side holding the max keeps its bit
-    x |= (x_b == 1) & (k_b == k_hi)
-    return k_hi, x.astype(np.int64)
+    gap = k_a - k_b
+    x = np.abs(gap) == 1  # the smaller side's max is the neighbor
+    x |= (x_a == 1) & (gap >= 0)  # a side holding the max keeps its bit
+    x |= (x_b == 1) & (gap <= 0)
+    return np.maximum(k_a, k_b), x.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +388,8 @@ class _RankSketch(_SketchBase):
 
     def _payload(self) -> list[np.ndarray]:
         arrays = self._codecs()
-        for array, cells in zip(arrays, (self._k - self.base, self._x)):
+        stored = self._k - self.base if self.base else self._k  # set_values only reads it
+        for array, cells in zip(arrays, (stored, self._x)):
             array.set_values(cells)  # packs in place: the buffer is the payload part
         return [array.buffer for array in arrays]
 
@@ -501,13 +511,15 @@ class _RankSketch(_SketchBase):
         for array, part in zip(arrays, parts):
             array.buffer = part
         k = arrays[0].values()
-        k += self.base
+        if self.base:
+            k += self.base
         x = arrays[1].values() if self.neighbor_bit else None
         self._derive(k, x)
-        bad = k > self.width + 1
-        if x is not None:
-            bad |= (k <= 1) & (x == 0)  # ranks 0 and 1 have no neighbor to miss
-        return not bad.any()
+        # each check reads the cells only if the registers can hold what it refuses
+        if self.base + (1 << self._width) - 1 > self.width + 1 and k.max() > self.width + 1:
+            return False
+        # ranks 0 and 1 have no neighbor to miss
+        return x is None or self.base > 1 or not ((k <= 1) & (x == 0)).any()
 
     def indicator(self) -> float:
         """Harmonic indicator: inverse sum of the per-cell terms."""

@@ -109,14 +109,23 @@ class _TailCutBase(_RankSketch):
     def _encode_effective(self, eff: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         """Canonical (base, offsets, truncated-mask) encoding of effective values."""
         base = int(eff.min())
-        raw = eff - base
-        truncated = raw > OFFSET_MAX
-        return base, np.minimum(raw, OFFSET_MAX), truncated
+        offsets = eff - base
+        truncated = offsets > OFFSET_MAX
+        return base, np.minimum(offsets, OFFSET_MAX, out=offsets), truncated
 
     def _load(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Re-encode cells canonically: exact for a promotion, best effort for a merge."""
-        self.base, offs, truncated = self._encode_effective(k)
-        super()._load(offs + self.base, None if x is None else np.where(truncated, 0, x))
+        """Re-encode cells canonically, clamping any rank above the new ceiling.
+
+        Neither caller clamps: a promotion moves no rank, and a merged
+        cell is at most one side's base + 15 while the merged minimum is
+        at least either base.  So the cells are rebuilt only if a rank
+        clamped.
+        """
+        self.base, offsets, truncated = self._encode_effective(k)
+        if truncated.any():
+            k = offsets + self.base
+            x = None if x is None else np.where(truncated, 0, x)
+        super()._load(k, x)
 
     def _run_end(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool) -> int:
         # only a rank above the ceiling can clamp, under this base or any later one

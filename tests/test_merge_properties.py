@@ -85,6 +85,28 @@ def test_cell_merge_rule_equals_set_union(sa, sb):
     assert (int(k[0]), int(x[0])) == _cell_of(sa | sb)
 
 
+def test_cell_merge_equals_the_guarded_formula_on_every_pair_of_cells():
+    """Every pair of cells inserts can produce, ranks 0-63: about 16k pairs.
+
+    The reference is the formula that also tested both ranks for an empty
+    side; the bit a cell of rank 0 or 1 always holds makes that test moot.
+    """
+    k, x = np.divmod(np.arange(2 * 64), 2)
+    valid = (k > 1) | (x == 1)
+    k, x = k[valid], x[valid]
+    k_a, k_b = (a.reshape(-1) for a in np.meshgrid(k, k, indexing="ij"))
+    x_a, x_b = (a.reshape(-1) for a in np.meshgrid(x, x, indexing="ij"))
+    assert len(k_a) == 126 ** 2
+    k_hi = np.maximum(k_a, k_b)
+    want = (k_a + k_b == 2 * k_hi - 1) & (k_a > 0) & (k_b > 0)
+    want |= (x_a == 1) & (k_a == k_hi)
+    want |= (x_b == 1) & (k_b == k_hi)
+    got_k, got_x = merge_ehll_cells(k_a, x_a, k_b, x_b)
+    assert got_k.dtype == got_x.dtype == np.int64
+    assert np.array_equal(got_k, k_hi)
+    assert np.array_equal(got_x, want.astype(np.int64))
+
+
 @settings(max_examples=50, deadline=None)
 @given(stream=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=60),
        seed=st.integers(0, 2**32))

@@ -171,3 +171,70 @@ def test_bitarray_fill_copy_and_inherited_counts():
         assert dup.get(0) == 0 and full.get(0) == 1
     for name in ("copy", "__repr__"):
         assert name not in vars(BitArray)
+
+
+# register counts that leave a partial last group of eight, and the sizes
+# the sketches use: whole arrays at 2^14 and 2^18
+codec_sizes = st.one_of(st.integers(1, 200).filter(lambda m: m % 8),
+                        st.sampled_from([1 << 14, 1 << 18]))
+
+
+def _makers(width: int) -> list:
+    """Constructors of empty ``width``-bit arrays by register count: BitArray too at width 1."""
+    return [lambda m: PackedRegisterArray(m, width)] + ([BitArray] if width == 1 else [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 8), m=codec_sizes, data=st.data())
+def test_whole_array_codec_matches_the_scalar_mirror(width, m, data):
+    """``values``/``set_values`` agree with ``get``/``set``, byte for byte."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mirror = rng.integers(0, 1 << width, size=m)
+    for make in _makers(width):
+        a = make(m)
+        a.set_values(mirror)
+        # every register of a small array is read back by the scalar path;
+        # a large one at its ends and at drawn indices
+        idx = (list(range(m)) if m <= 200 else
+               [0, 7, 8, m - 9, m - 1] + data.draw(st.lists(st.integers(0, m - 1), max_size=40)))
+        assert [a.get(j) for j in idx] == mirror[idx].tolist()
+        vals = mirror.copy()
+        for j, v in data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                                 st.integers(0, (1 << width) - 1)), max_size=30)):
+            a.set(j, v)
+            vals[j] = v
+        assert np.array_equal(a.values(), vals)
+        # the scalar writes and the whole-array write leave the same bytes,
+        # padding bits past the last register included
+        packed = make(m)
+        packed.set_values(vals)
+        assert np.array_equal(packed.buffer, a.buffer)
+        if m <= 200:
+            scalar = make(m)
+            for j, v in enumerate(vals.tolist()):
+                scalar.set(j, v)
+            assert np.array_equal(scalar.buffer, a.buffer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 8), m=codec_sizes, before=st.integers(0, 17),
+       after=st.integers(0, 17), fill=st.sampled_from([0x00, 0xFF, 0xA5]), data=st.data())
+def test_values_of_a_view_into_a_file_equal_values_of_a_copy(width, m, before, after, fill, data):
+    """A buffer read in place from a longer blob decodes as its own copy does.
+
+    ``deserialize`` hands the codec ``np.frombuffer`` views at any byte
+    offset of the file, read-only, with more bytes after them; none of
+    those bytes may reach a register.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.integers(0, 1 << width, size=m)
+    for make in _makers(width):
+        a = make(m)
+        a.set_values(vals)
+        blob = bytes([fill]) * before + a.buffer.tobytes() + bytes([fill]) * after
+        view = make(m)
+        view.buffer = np.frombuffer(blob, dtype=np.uint8, count=len(a.buffer), offset=before)
+        copy = make(m)
+        copy.buffer = view.buffer.copy()
+        assert np.array_equal(view.values(), copy.values())
+        assert np.array_equal(view.values(), vals)

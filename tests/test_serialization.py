@@ -128,6 +128,30 @@ def test_rejects_rank_above_hash_width():
     assert _accepted(_spliced(HllSketch, 10, ranks))._cells()[0][0] == 55
 
 
+def test_tailcut_rank_checks_count_from_the_base():
+    # at b=10 the largest rank is 55: only a base above 40 lets an offset reach past it
+    offsets = np.zeros(1 << 10, dtype=np.int64)
+    offsets[0] = 15
+    for cls in (HllTcSketch, EhllTcSketch):
+        bits = np.ones(1 << 10, dtype=np.int64) if cls.neighbor_bit else None
+        blob = bytearray(_spliced(cls, 10, offsets, bits))
+        blob[15] = 40
+        assert _accepted(bytes(blob))._cells()[0][0] == 55
+        for base in (41, 56, 255):
+            blob[15] = base
+            with pytest.raises(SketchFormatError):
+                deserialize(bytes(blob))
+    # a bit of 0 is refused at rank 1 (base 1, offset 0) and allowed at rank 2 (base 2)
+    bits = np.ones(1 << 10, dtype=np.int64)
+    bits[1] = 0
+    blob = bytearray(_spliced(EhllTcSketch, 10, offsets, bits))
+    blob[15] = 1
+    with pytest.raises(SketchFormatError):
+        deserialize(bytes(blob))
+    blob[15] = 2
+    assert _accepted(bytes(blob))._cells()[1][1] == 0
+
+
 def test_rejects_zero_neighbor_bit_below_rank_two():
     ranks, bits = np.zeros(1 << 9, dtype=np.int64), np.ones(1 << 9, dtype=np.int64)
     bits[0] = 0  # an empty cell is (0, 1)

@@ -5,6 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ehll.analysis import PCSA_PHI, alpha_m
 from ehll.hashing import stream_u64
@@ -82,6 +85,33 @@ def test_pcsa_estimate_equals_presence_matrix(b):
     assert got == estimate_bitmap(present)
     expected = m / PCSA_PHI * 2.0 ** float(first_zero.mean())
     assert got.value == expected
+
+
+@st.composite
+def presence_matrices(draw):
+    """(m, lanes) bool matrices whose rows are all ones, all zeros, a run of ones, or as drawn."""
+    m, lanes = draw(st.integers(1, 40)), draw(st.integers(1, 64))
+    present = draw(arrays(bool, (m, lanes)))
+    for row, shape in enumerate(draw(st.lists(st.sampled_from(["ones", "zeros", "run", "drawn"]),
+                                              min_size=m, max_size=m))):
+        if shape == "ones":
+            present[row] = True
+        elif shape == "zeros":
+            present[row] = False
+        elif shape == "run":
+            present[row, :draw(st.integers(0, lanes))] = True
+    return present
+
+
+@settings(max_examples=300, deadline=None)
+@given(present=presence_matrices())
+def test_pcsa_estimate_equals_a_per_row_first_zero(present):
+    m, lanes = present.shape
+    first_zero = [next((i for i, bit in enumerate(row) if not bit), lanes)
+                  for row in present.tolist()]
+    got = estimate_bitmap(present)
+    assert got.regime == "raw"
+    assert got.value == m / PCSA_PHI * 2.0 ** (sum(first_zero) / m)
 
 
 def test_pcsa_relative_error():

@@ -7,7 +7,7 @@ import pytest
 
 from ehll.hashing import stream_u64
 from ehll.oracle import union_sketch
-from ehll.sketches import EhllSketch, HllSketch
+from ehll.sketches import EhllSketch, HllSketch, merge_ehll_cells
 from ehll.tailcut import EhllTcSketch, HllTcSketch
 
 
@@ -155,6 +155,37 @@ def test_merge_identity_and_commutativity():
         assert a.merge(b) == b.merge(a)
     with pytest.raises(ValueError):
         HllTcSketch(b=4).merge(EhllTcSketch(b=4))
+
+
+def test_a_merge_clamps_no_rank_and_a_wider_load_does():
+    # each side's ranks sit under its base + 15 and the merged base is at
+    # least either base, so a merge of saturated shards is the plain cell merge
+    rng = np.random.default_rng(46)
+    for cls in (HllTcSketch, EhllTcSketch):
+        for _ in range(30):
+            sides = []
+            for n in rng.integers(1, 3000, size=2):
+                s = cls(b=4)
+                geo = rng.geometric(0.5, size=n)
+                geo[rng.random(n) < 0.02] += 20  # ranks past a young base's ceiling
+                s._insert_bg_batch(rng.integers(0, 16, size=n), geo)
+                sides.append(s)
+            a, b = sides
+            k, x = a.merge(b)._cells()
+            if cls.neighbor_bit:
+                want_k, want_x = merge_ehll_cells(*a._cells(), *b._cells())
+                assert np.array_equal(x, want_x)
+            else:
+                want_k = np.maximum(a._cells()[0], b._cells()[0])
+            assert np.array_equal(k, want_k)
+        # cells spread wider than the offsets clamp at the new ceiling, bit 0
+        s = cls(b=4)
+        k = np.full(16, 3)
+        k[0] = 25
+        s._load(k, np.ones(16, dtype=np.int64) if cls.neighbor_bit else None)
+        assert s.base == 3 and offset(s, 0) == 15
+        if cls.neighbor_bit:
+            assert cell(s, 0) == (15, 0)
 
 
 def test_unsaturated_merge_equals_union_stream():
