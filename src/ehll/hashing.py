@@ -157,16 +157,16 @@ _BYTE_MASKS = np.array([(1 << (8 * i)) - 1 for i in range(9)], dtype=np.uint64)
 
 
 def check_int_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(a, b)`` as int64 arrays; ValueError unless 1-D integer arrays of one length.
+    """``(a, b)`` as arrays of their own dtypes; ValueError unless 1-D integer arrays of one length.
 
-    A uint64 past ``2**63 - 1`` comes back negative, for the caller's range check to refuse.
+    Each caller checks the range before it narrows or computes in a dtype of its own.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 1 or b.ndim != 1 or len(a) != len(b):
         raise ValueError(f"{what} need 1-D arrays of one length, got {a.shape} and {b.shape}")
     if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise ValueError(f"{what} need integer arrays, got {a.dtype} and {b.dtype}")
-    return a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+    return a, b
 
 
 def hash64_tokens(buf, starts: np.ndarray, ends: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -183,7 +183,9 @@ def hash64_tokens(buf, starts: np.ndarray, ends: np.ndarray, seed: int = 0) -> n
     arrays of one length with ``0 <= starts[i] <= ends[i] <= len(buf)``.
     """
     data = np.frombuffer(buf, dtype=np.uint8)
-    starts, ends = check_int_pair(starts, ends, "token bounds")
+    # as int64, a uint64 past ``2**63 - 1`` comes back negative, for the range check to refuse
+    starts, ends = (a.astype(np.int64, copy=False)
+                    for a in check_int_pair(starts, ends, "token bounds"))
     lens = ends - starts
     if len(lens) and not (starts.min() >= 0 and lens.min() >= 0 and ends.max() <= len(data)):
         raise ValueError(f"token bounds must satisfy 0 <= start <= end <= {len(data)}")

@@ -59,6 +59,7 @@ import math
 import numpy as np
 
 from .hashing import check_int_pair
+from .sketches import CELL
 
 _RANK_STRIDE = 128  # > max rank, so per-bucket offsets keep cummax segmented
 _CHUNK = 16384  # the longest chunk of a run compared with the live cells
@@ -211,6 +212,8 @@ class MartingaleCounter:
             raise ValueError(f"buckets must lie in [0, {inner.m})")
         if len(geo) and not (1 <= geo.min() and geo.max() <= inner.width + 1):
             raise ValueError(f"ranks must lie in [1, {inner.width + 1}]")
+        # checked in range, so neither cast wraps; ranks of the cells' dtype are not cast again
+        bucket, geo = bucket.astype(np.int64, copy=False), geo.astype(CELL, copy=False)
         arrivals, qs = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for lo, hi in inner._runs(bucket, geo, reads_q=True):
             if hi == lo:  # a cut element: insert()'s scalar step

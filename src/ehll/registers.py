@@ -12,7 +12,7 @@ their EHS1 payload, real only if each buffer is exactly
 the package: they stay for ``tests/test_registers.py`` and the
 benchmark tracer until those move off them.  ``values()`` /
 ``set_values()`` unpack the whole array and pack it in place.  The PCSA
-bitmap lives packed; a rank sketch's state is its int64 cells, which it
+bitmap lives packed; a rank sketch's state is its int8 cells, which it
 packs with ``set_values()`` only to build its EHS1 payload (a serialize,
 an ``==``) and decodes with ``values()`` only on a file load.
 Eight registers of ``width`` bits fill exactly ``width`` bytes, so the
@@ -20,10 +20,14 @@ whole-array codec treats each group of eight as one little-endian 64-bit
 word, register ``i`` of the group at bit ``i * width``: the same bytes as
 the scalar layout.  ``values()`` reads the words through one unaligned
 view, ``width`` bytes apart, over a padded copy of the buffer, and
-shifts and masks them into the registers, with no byte staging array;
-``set_values()`` takes each group of eight registers as a row and its
-word as the row's product with the weights ``2^(i * width)``: the
-fields are disjoint, so the sum is their OR.
+spreads each word's eight fields to its eight bytes in three
+mask-and-shift steps (:func:`_spread_steps`): the words themselves become
+the one byte per register it returns, as uint8, which holds every
+register up to 8 bits and which a rank sketch views as its int8 cells
+at no cost.  ``set_values()`` copies the registers into bytes, one word
+per group, and runs the same steps in reverse to gather each word's
+fields into its low ``width`` bytes.  Neither stages a wider array than
+one byte per register.
 
 :class:`BitArray` (PCSA bitmaps, neighbor bits) is the width-1 array with a
 byte-wise codec over the same bytes, ``np.unpackbits``/``np.packbits``,
@@ -40,6 +44,25 @@ import numpy as np
 
 _U8 = np.uint8
 _WORD = np.dtype("<u8")  # one group of eight registers
+
+
+def _spread_steps(width: int) -> list[tuple[np.uint64, np.uint64, np.uint64]]:
+    """``(keep, move, by)`` masks that spread eight ``width``-bit fields to eight bytes.
+
+    Step ``n`` (4, 2, then 1) splits every unit of ``2n`` fields: its low
+    ``n`` fields stay (``keep``) and its high ``n`` fields (``move``) go
+    up ``by`` bits, to the next ``16n``-bit boundary.  Run in reverse
+    with right shifts, the steps gather the bytes back into fields.
+    """
+    steps = []
+    for n in (4, 2, 1):
+        field = (1 << n * width) - 1
+        keep = sum(field << 16 * n * unit for unit in range(4 // n))
+        steps.append((_WORD.type(keep), _WORD.type(keep << n * width), _WORD.type(n * (8 - width))))
+    return steps
+
+
+_SPREAD = {width: _spread_steps(width) for width in range(1, 8)}
 
 
 class PackedRegisterArray:
@@ -83,41 +106,52 @@ class PackedRegisterArray:
         else:
             self.buffer[byte] = (word & ~mask & 0xFF) | (v << shift)
 
-    def _groups(self) -> tuple[int, np.ndarray]:
-        """Number of eight-register words, and each lane's shift in its word."""
-        return -(-self.m // 8), np.arange(0, 8 * self.width, self.width, dtype=_WORD)
+    def _groups(self) -> int:
+        """Number of eight-register groups, the last one maybe partial."""
+        return -(-self.m // 8)
 
     def values(self) -> np.ndarray:
-        """Unpack all registers into an int64 array."""
-        groups, shifts = self._groups()
+        """Unpack all registers into a uint8 array, one byte per register."""
+        groups, w = self._groups(), self.width
         # a group's word reads 8 bytes from its first: pad the last group's
-        padded = np.zeros(groups * self.width + 8 - self.width, dtype=_U8)
+        padded = np.zeros(groups * w + 8 - w, dtype=_U8)
         padded[:len(self.buffer)] = self.buffer
-        words = np.ndarray((groups, 1), dtype=_WORD, buffer=padded, strides=(self.width, 0))
-        vals = words >> shifts
-        vals &= _WORD.type((1 << self.width) - 1)
-        return vals.reshape(-1)[:self.m].view(np.int64)
+        words = np.ndarray((groups,), dtype=_WORD, buffer=padded, strides=(w,)).copy()
+        if w < 8:  # spread each word's eight fields to its eight bytes
+            moved = np.empty_like(words)
+            for keep, move, by in _SPREAD[w]:
+                np.bitwise_and(words, move, out=moved)
+                moved <<= by
+                words &= keep
+                words |= moved
+        return words.view(_U8)[:self.m]
 
     def _checked(self, vals: np.ndarray) -> np.ndarray:
-        """``vals`` as int64, if they are ``m`` values that fit in ``width`` bits."""
-        vals = np.asarray(vals, dtype=np.int64)
+        """``vals`` as an array, if they are ``m`` integers that fit in ``width`` bits."""
+        vals = np.asarray(vals)
         if vals.shape != (self.m,):
             raise ValueError(f"expected {self.m} values, got shape {vals.shape}")
-        if vals.view(np.uint64).max() >> self.width:  # a negative, as unsigned, is too wide
+        if vals.min() < 0 or int(vals.max()) >> self.width:
             raise ValueError(f"values do not fit in {self.width} bits")
         return vals
 
     def set_values(self, vals: np.ndarray) -> None:
         """Pack an int array of register values into the buffer, in place."""
-        groups, shifts = self._groups()
-        lanes = self._checked(vals).view(_WORD)
-        if self.m % 8:  # zeros fill the partial last group
-            lanes = np.concatenate((lanes, np.zeros(-self.m % 8, dtype=_WORD)))
-        # register i of a group fills bits i * width up, apart from the others,
-        # so summing it times 2^(i * width) ORs it into the word, exactly
-        words = lanes.reshape(groups, 8) @ (_WORD.type(1) << shifts)
-        packed = words.view(_U8).reshape(groups, 8)[:, :self.width].reshape(-1)
-        self.buffer[:] = packed[:len(self.buffer)]
+        groups, w = self._groups(), self.width
+        lanes = np.zeros(groups * 8, dtype=_U8)  # zeros fill the partial last group
+        lanes[:self.m] = self._checked(vals)
+        words = lanes.view(_WORD)
+        if w < 8:  # gather each word's eight bytes into its low ``w`` bytes
+            moved = np.empty_like(words)
+            for keep, move, by in reversed(_SPREAD[w]):
+                np.right_shift(words, by, out=moved)
+                moved &= move
+                words &= keep
+                words |= moved
+        packed = lanes.reshape(groups, 8)[:, :w]  # each word's low bytes
+        if self.m % 8:  # the partial last group fills only part of its bytes
+            packed = packed.reshape(-1)[:len(self.buffer)]
+        self.buffer.reshape(packed.shape)[:] = packed
 
     def copy(self) -> "PackedRegisterArray":
         dup = type(self).__new__(type(self))
@@ -153,10 +187,10 @@ class BitArray(PackedRegisterArray):
             self.buffer[j >> 3] &= _U8(~(1 << (j & 7)) & 0xFF)
 
     def values(self) -> np.ndarray:
-        return np.unpackbits(self.buffer, count=self.m, bitorder="little").astype(np.int64)
+        return np.unpackbits(self.buffer, count=self.m, bitorder="little")
 
     def set_values(self, vals: np.ndarray) -> None:
-        self.buffer[:] = np.packbits(self._checked(vals).astype(bool), bitorder="little")
+        self.buffer[:] = np.packbits(self._checked(vals), bitorder="little")
 
     def set_ones(self, idx: np.ndarray) -> None:
         """Set the bits at ``idx`` (repeats allowed) to 1, ORing into their bytes in place."""

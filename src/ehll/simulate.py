@@ -46,11 +46,14 @@ a child sends its block's estimates back over a one-way pipe, and
 so any worker count yields the same aggregate rows as a sequential run.
 
 Each block owns one workspace of three ``n``-word arrays (hashes,
-bucket, rank), about 2.4 MB at n = 10^5 and 24 MB at n = 10^6, which it
-allocates before its first trial.  Every trial is streamed, hashed and
-split into it, so a trial after the first writes to no fresh pages, and
-a process's peak stays at what one trial's fresh arrays took.  Nothing
-of it outlives the block, and no state is kept between calls.
+bucket, rank) and the ranks again as ``n`` bytes, in the cells' dtype,
+about 2.5 MB at n = 10^5 and 25 MB at n = 10^6, which it allocates
+before its first trial.  Each split's ranks are cast to the cells' dtype
+once, for every kind of its m, so no union casts them again.  Every
+trial is streamed, hashed and split into it, so a trial after the first
+writes to no fresh pages, and a process's peak stays at what one trial's
+fresh arrays took.  Nothing of it outlives the block, and no state is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .hashing import (
 )
 from .martingale import MartingaleCounter
 from .serialization import SKETCHES
-from .sketches import bias_constant
+from .sketches import CELL, bias_constant
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -209,7 +212,8 @@ def _trial_block(args: tuple[SimulationConfig, int, int]) -> tuple[int, dict[str
     n, positions = config.n, config.checkpoint_positions()
     hashes = np.empty(n, np.uint64)
     bucket, rank = np.empty(n, np.int64), np.empty(n, np.int64)
-    pairs = bucket.view(), rank.view()
+    cell_rank = np.empty(n, CELL)  # the ranks in the cells' dtype, cast once per split
+    pairs = bucket.view(), cell_rank.view()
     for arr in pairs:
         arr.setflags(write=False)
     by_m: dict[int, list[str]] = {}
@@ -220,6 +224,7 @@ def _trial_block(args: tuple[SimulationConfig, int, int]) -> tuple[int, dict[str
         _trial_hashes(n, config.seed, t, out=hashes)
         for m, kinds in by_m.items():
             split_hash_array(hashes, m, out=(bucket, rank))
+            cell_rank[:] = rank
             for kind in kinds:
                 blocks[kind][t - lo] = run_trial(kind, m, n, positions, config.seed, t,
                                                  config.martingale, config.asymptotic,

@@ -29,9 +29,10 @@ it touches only the cells its pairs hit.  A batch of ``m`` pairs or more
 also makes a few passes over the whole cell array, which then cost less
 than per-pair masks.  A batch or full write leaves the sum to be
 computed from the cells when it is first read.  A rank sketch's state
-is its cells, int64 arrays; the packed registers the memory accounting
-counts exist only as the EHS1 payload, built by ``_payload()`` when a
-file is written (see :class:`_RankSketch`).
+is its cells, arrays of the one cell dtype :data:`CELL` (int8, a byte
+per rank and per neighbor bit); the packed registers the memory
+accounting counts exist only as the EHS1 payload, built by
+``_payload()`` when a file is written (see :class:`_RankSketch`).
 
 Sketches are single-writer.  Only ``change_probability`` and the inserts
 (the scalar step, the martingale block) store the term sum;
@@ -66,6 +67,10 @@ from .hashing import (
 from .registers import BitArray, PackedRegisterArray
 
 REGISTER_WIDTH = 6  # enough for ranks up to 61 at b >= 4
+#: The dtype of every rank sketch's cells.  It holds every rank (at most
+#: 65, at m = 1) and every TailCut base plus offset, and, being signed,
+#: no difference of two ranks or ``rank - 1`` wraps in it.
+CELL = np.int8
 
 # Small-range regime boundary, in units of m.  The two-field sketch reuses
 # the max-rank sketch's 2.5 rule; no independent derivation exists for it.
@@ -108,12 +113,17 @@ _TERMS = np.array([math.ldexp(3 - 2 * x, -k)
 def cell_terms(k: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """Per-cell change-probability terms ``2^-k (3 - 2x)``; ``2^-k`` without bits.
 
-    Integer cells index an exact table of the terms, so a rank past the
-    largest a register holds raises IndexError.
+    Integer cells of any width index an exact table of the terms, so a
+    rank past the largest a register holds raises IndexError.  The index
+    is widened before it is doubled, so a narrow rank cannot wrap into
+    the table, and a gather with intp indices keeps numpy's fast path.
     """
+    idx = np.array(k, dtype=np.intp)
     if x is None:
-        return _TERMS[1::2][k]
-    return _TERMS[2 * np.asarray(k) + np.asarray(x)]
+        return _TERMS[1::2][idx]
+    idx <<= 1
+    idx += x
+    return _TERMS[idx]
 
 
 def cell_indicator(k: np.ndarray, x: np.ndarray | None = None) -> float:
@@ -140,7 +150,7 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
     over the sum of the cells' :func:`cell_terms`.  Every rank sketch's
     ``estimate`` is this function of its cells.
     """
-    total = float(cell_terms(k, x).sum())
+    total = float(np.add.reduce(cell_terms(k, x)))
     raw = bias_constant(m, x is not None, asymptotic) * m * m * (1.0 / total)
     if raw < LC_THRESHOLD * m:
         v = int(np.count_nonzero(np.asarray(k) == 0))
@@ -149,18 +159,36 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
     return RawEstimate(raw, "raw")
 
 
-def estimate_bitmap(present: np.ndarray) -> RawEstimate:
-    """Bitmap (PCSA) estimate from a (buckets, lanes) rank-presence matrix.
+def estimate_bitmap(bitmap: np.ndarray, m: int, lanes: int) -> RawEstimate:
+    """Bitmap (PCSA) estimate from ``m`` rows of ``lanes`` bits, packed LSB first.
 
-    A row's first zero is its ``argmin``, which is 0 also for a row of
-    ones; such a row, and only such a row, holds a one there, and its
-    first zero is ``lanes``.
+    A row's first zero is the count of its trailing ones, which
+    ``v & ~(v + 1)`` keeps of a row ``v`` (up to 64 bits: one uint64).
+    Eight rows fill ``lanes`` bytes, so row ``i`` of every group of eight
+    is read through one unaligned little-endian word view ``lanes`` bytes
+    apart, shifted down by the row's bit offset in its first byte; where
+    that leaves fewer than ``lanes`` bits (``b <= 7``), the byte after
+    the word supplies the rest.  Rows past ``m`` read as zeros, which
+    have no trailing ones.
     """
-    present = np.asarray(present, dtype=bool)
-    m, lanes = present.shape
-    first_zero = np.argmin(present, axis=1)
-    first_zero[present.reshape(-1)[np.arange(0, m * lanes, lanes) + first_zero]] = lanes
-    return RawEstimate(m / analysis.PCSA_PHI * 2.0 ** float(first_zero.mean()), "raw")
+    groups = -(-m // 8)
+    padded = np.zeros(groups * lanes + 9, dtype=np.uint8)  # a row's word and spill byte
+    padded[:len(bitmap)] = bitmap
+    rows = np.empty((8, groups), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        byte, shift = divmod(i * lanes, 8)
+        words = np.ndarray((groups,), dtype="<u8", buffer=padded, offset=byte, strides=(lanes,))
+        np.right_shift(words, np.uint64(shift), out=row)
+        if shift + lanes > 64:
+            spill = np.ndarray((groups,), dtype=np.uint8, buffer=padded, offset=byte + 8,
+                               strides=(lanes,))
+            row |= spill.astype(np.uint64) << np.uint64(64 - shift)
+    rows &= np.uint64((1 << lanes) - 1)
+    ones = rows + np.uint64(1)
+    np.invert(ones, out=ones)
+    ones &= rows
+    first_zeros = int(np.bitwise_count(ones).sum())
+    return RawEstimate(m / analysis.PCSA_PHI * 2.0 ** (first_zeros / m), "raw")
 
 
 def merge_ehll_cells(
@@ -180,15 +208,13 @@ def merge_ehll_cells(
     empty side ``(0, 1)`` is the identity, even one rank below a side of
     rank 1, with no test of which side is empty.
     """
-    k_a = np.asarray(k_a, dtype=np.int64)
-    k_b = np.asarray(k_b, dtype=np.int64)
-    x_a = np.asarray(x_a, dtype=np.int64)
-    x_b = np.asarray(x_b, dtype=np.int64)
-    gap = k_a - k_b
-    x = np.abs(gap) == 1  # the smaller side's max is the neighbor
-    x |= (x_a == 1) & (gap >= 0)  # a side holding the max keeps its bit
-    x |= (x_b == 1) & (gap <= 0)
-    return np.maximum(k_a, k_b), x.astype(np.int64)
+    k = np.maximum(k_a, k_b)
+    x = x_a & (k_a >= k_b)  # a side holding the max keeps its bit
+    x |= x_b & (k_b >= k_a)
+    # the smaller side's max is the neighbor; ``+ 1`` can wrap only at the
+    # dtype's largest value, where no max is one above it
+    x |= np.minimum(k_a, k_b) + 1 == k
+    return k, x
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +346,7 @@ class PcsaSketch(_SketchBase):
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         """Bitmap estimate; ``asymptotic`` is ignored (``PCSA_PHI`` has no finite-m form)."""
-        bits = np.unpackbits(self.bitmaps.buffer, count=self.m * self.L, bitorder="little")
-        return estimate_bitmap(bits.view(bool).reshape(self.m, self.L))
+        return estimate_bitmap(self.bitmaps.buffer, self.m, self.L)
 
     def merge(self, other: "PcsaSketch") -> "PcsaSketch":
         self._check_mergeable(other)
@@ -334,11 +359,13 @@ class _RankSketch(_SketchBase):
     """The cell rule over a rank codec; this class is the plain 6-bit codec.
 
     The cells are the sketch's state: the ranks ``_k`` and, with neighbor
-    bits, ``_x``, int64 arrays of ``m`` that no other sketch shares.  The
-    scalar step and the batch union (``_union_batch``) write the cells in
-    place: the scalar step and a run of fewer than ``m`` pairs touch only
-    the cells they hit, and a longer run sets the neighbor bits in passes
-    over the whole array.  A full write (merge, TailCut promotion or
+    bits, ``_x``, :data:`CELL` (int8) arrays of ``m`` that no other
+    sketch shares, on every path: a batch casts its ranks to that dtype
+    before the scatter, and ``_derive`` narrows what a full write hands
+    it.  The scalar step and the batch union (``_union_batch``) write the
+    cells in place: the scalar step and a run of fewer than ``m`` pairs
+    touch only the cells they hit, and a longer run sets the neighbor
+    bits in passes over the whole array.  A full write (merge, TailCut promotion or
     re-encode, file load) replaces both in ``_derive``.  The packed
     registers exist only in the EHS1 payload: ``_payload()`` packs the
     stored ranks ``k - base`` into ``_width``-bit registers and the bits
@@ -365,8 +392,8 @@ class _RankSketch(_SketchBase):
 
     def __init__(self, b: int | None = None, m: int | None = None, seed: int = 0):
         super().__init__(b, m, seed)
-        self._derive(np.zeros(self.m, dtype=np.int64),
-                     np.ones(self.m, dtype=np.int64) if self.neighbor_bit else None)
+        self._derive(np.zeros(self.m, dtype=CELL),
+                     np.ones(self.m, dtype=CELL) if self.neighbor_bit else None)
 
     @classmethod
     def _unloaded(cls, b: int, seed: int):
@@ -375,7 +402,7 @@ class _RankSketch(_SketchBase):
         return sketch
 
     def effective_values(self) -> np.ndarray:
-        """Stored rank of every cell (a copy)."""
+        """Stored rank of every cell (a copy, of the cell dtype)."""
         return self._k.copy()
 
     def _layout(self) -> tuple[tuple[int, int], ...]:
@@ -486,6 +513,7 @@ class _RankSketch(_SketchBase):
         own invariant that a cell of rank 0 or 1 holds bit 1.
         """
         k, x = self._k, self._x
+        geo = geo.astype(CELL, copy=False)  # ranks of the cells' dtype keep the scatter's fast path
         if x is None:
             np.maximum.at(k, bucket, geo)
         elif len(bucket) >= self.m:
@@ -494,8 +522,7 @@ class _RankSketch(_SketchBase):
             # a grown max holds its neighbor if it grew by one: from a nonempty
             # cell the old max is the neighbor, and rank 1 has none to miss
             np.copyto(x, k == old + 1, where=k > old)
-            # ranks fit a byte, so the gather keeps its run-sized temporaries small
-            x[bucket[geo == k.astype(np.uint8)[bucket] - 1]] = 1  # a rank one below the max
+            x[bucket[geo == k[bucket] - 1]] = 1  # a rank one below the max
         else:
             old = k[bucket]
             np.maximum.at(k, bucket, geo)
@@ -503,17 +530,17 @@ class _RankSketch(_SketchBase):
             # every pair of a cell gathers the same old and new ranks, so each
             # writes the cell the same value, and the hits are ORed in after
             x[bucket] = np.where(new > old, new == old + 1, x[bucket])
-            np.maximum.at(x, bucket, (geo == new - 1).astype(np.int64))  # int64 keeps the fast path
+            np.maximum.at(x, bucket, (geo == new - 1).view(CELL))
         self._sum, self._sum_err = None, 0.0
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:
         arrays = self._codecs()
         for array, part in zip(arrays, parts):
             array.buffer = part
-        k = arrays[0].values()
+        k = arrays[0].values().view(CELL)  # a stored rank is at most 15 or 63
         if self.base:
             k += self.base
-        x = arrays[1].values() if self.neighbor_bit else None
+        x = arrays[1].values().view(CELL) if self.neighbor_bit else None
         self._derive(k, x)
         # each check reads the cells only if the registers can hold what it refuses
         if self.base + (1 << self._width) - 1 > self.width + 1 and k.max() > self.width + 1:
@@ -534,8 +561,12 @@ class _RankSketch(_SketchBase):
         self._derive(self._k, self._x)
 
     def _derive(self, k: np.ndarray, x: np.ndarray | None) -> None:
-        """Make ``(k, x)`` the cells and unset what is computed from them: the term sum."""
-        self._k, self._x = k, x
+        """Make ``(k, x)`` the cells and unset what is computed from them: the term sum.
+
+        The cells take the one cell dtype, whatever ``(k, x)`` came in.
+        """
+        self._k = k.astype(CELL, copy=False)
+        self._x = None if x is None else x.astype(CELL, copy=False)
         self._sum, self._sum_err = None, 0.0
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:

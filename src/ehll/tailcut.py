@@ -142,6 +142,10 @@ class _TailCutBase(_RankSketch):
         return end
 
     def _loaded(self, parts: list[np.ndarray]) -> bool:
+        # the base is the minimum cell, so at most the largest rank: refused
+        # from the header byte, before it is added to any cell
+        if self.base > self.width + 1:
+            return False
         # every update path promotes or re-encodes, leaving a zero offset
         return super()._loaded(parts) and self._zero_offsets > 0
 

@@ -283,6 +283,47 @@ def test_merge_shares_no_memory_with_its_operands(kind):
         assert serialize(s) == data
 
 
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_one_cell_dtype_on_every_path(kind):
+    # a widened cell writes the same bytes but falls off np.maximum.at's fast path
+    cls = SKETCHES[kind]
+    m = 1 << 10
+
+    def check(s, path):
+        k, x = s._cells()
+        assert k.dtype == np.int8, path
+        assert (x is not None) == s.neighbor_bit, path
+        assert x is None or x.dtype == np.int8, path
+
+    s = cls(m=m)
+    check(s, "init")
+    s.insert_all(range(50))
+    check(s, "scalar step")
+    bucket, geo = s._split_batch(stream_u64(m // 4, 1))  # int64 ranks
+    s._union_batch(bucket, geo)
+    check(s, "run shorter than m")
+    s._union_batch(*s._split_batch(stream_u64(16 * m, 2)))
+    check(s, "run of m or more")
+    if isinstance(s, _TailCutBase):
+        assert s.base > 0  # the long run promoted the base
+        s.insert_batch(spikes(m, rank=s.base + OFFSET_MAX + 1)[:3])
+        check(s, "clamped scalar step")
+        s._promote_base()
+        check(s, "promotion")
+        k, x = s._cells()
+        s._load(k.astype(np.int64), None if x is None else x.astype(np.int64))
+        check(s, "_load")
+    other = batched(cls, stream_u64(3 * m, 3), 500, m=m)
+    check(s.merge(other), "merge")
+    check(s.copy(), "copy")
+    check(deserialize(serialize(s)), "deserialize")
+    counter = MartingaleCounter(cls(m=m))
+    counter.insert_bg_batch(bucket, geo)
+    check(counter.inner, "martingale block")
+    s._derive(np.zeros(m, np.int64), np.ones(m, np.int64) if s.neighbor_bit else None)
+    check(s, "_derive given int64")
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes traced while ``fn(*args)`` runs."""
     tracemalloc.start()

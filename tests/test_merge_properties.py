@@ -101,10 +101,12 @@ def test_cell_merge_equals_the_guarded_formula_on_every_pair_of_cells():
     want = (k_a + k_b == 2 * k_hi - 1) & (k_a > 0) & (k_b > 0)
     want |= (x_a == 1) & (k_a == k_hi)
     want |= (x_b == 1) & (k_b == k_hi)
-    got_k, got_x = merge_ehll_cells(k_a, x_a, k_b, x_b)
-    assert got_k.dtype == got_x.dtype == np.int64
-    assert np.array_equal(got_k, k_hi)
-    assert np.array_equal(got_x, want.astype(np.int64))
+    # the merge keeps its inputs' dtype, and a narrow unsigned rank gap does not wrap
+    for dtype in (np.int64, np.int8, np.uint8):
+        got_k, got_x = merge_ehll_cells(*(a.astype(dtype) for a in (k_a, x_a, k_b, x_b)))
+        assert got_k.dtype == got_x.dtype == dtype
+        assert np.array_equal(got_k, k_hi)
+        assert np.array_equal(got_x, want.astype(dtype))
 
 
 @settings(max_examples=50, deadline=None)

@@ -152,6 +152,30 @@ def test_tailcut_rank_checks_count_from_the_base():
     assert _accepted(bytes(blob))._cells()[1][1] == 0
 
 
+@pytest.mark.parametrize("cls", [HllTcSketch, EhllTcSketch])
+@pytest.mark.parametrize("b", [4, 10, 14])
+def test_every_tailcut_base_byte_loads_exactly_or_is_refused(cls, b):
+    # the cells are int8: a base added to them must never overflow or wrap
+    rng = np.random.default_rng(b)
+    offsets = rng.integers(0, 1 << OFFSET_WIDTH, 1 << b)
+    offsets[:2] = 0, (1 << OFFSET_WIDTH) - 1  # a zero offset, and one at the ceiling
+    bits = np.ones(1 << b, dtype=np.int64) if cls.neighbor_bit else None
+    blob = bytearray(_spliced(cls, b, offsets, bits))
+    loaded = []
+    for base in range(256):
+        blob[15] = base
+        try:
+            s = deserialize(bytes(blob))
+        except SketchFormatError:
+            continue
+        k = s._cells()[0]
+        assert s.base == base and k.dtype == np.int8
+        assert np.array_equal(k.astype(np.int64), base + offsets.astype(np.int64))
+        loaded.append(base)
+    # exactly the bases whose ceiling is a rank the hash can give, 65 - b at most
+    assert loaded == list(range(65 - b - 15 + 1))
+
+
 def test_rejects_zero_neighbor_bit_below_rank_two():
     ranks, bits = np.zeros(1 << 9, dtype=np.int64), np.ones(1 << 9, dtype=np.int64)
     bits[0] = 0  # an empty cell is (0, 1)
