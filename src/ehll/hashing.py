@@ -22,10 +22,11 @@ Two addressing modes exist:
 
 The array pipeline that campaign trials and ``insert_batch`` run
 (:func:`stream_u64`, :func:`hash64_u64_array`, :func:`split_hash_array`,
-:func:`rho_array`) works in place: each stage writes only its outputs
-and walks them in blocks of :data:`_BLOCK` words, so its temporaries
-stay small, and :func:`rho_array` reads the low bits of a word without a
-masked copy.  Each stage takes an optional ``out``: given, the stage
+which is :func:`bucket_array` and :func:`rho_array`) works in place:
+each stage writes only its outputs and walks them in blocks of
+:data:`_BLOCK` words, so its temporaries stay small, and
+:func:`rho_array` reads the low bits of a word without a masked copy.
+Each stage takes an optional ``out``: given, the stage
 allocates nothing of the input's size and writes there, so a caller that
 reuses its buffers (a campaign worker, trial after trial) touches no
 fresh pages; omitted, the stage allocates its outputs.  An ``out`` of
@@ -309,33 +310,40 @@ def split_hash(raw: int, m: int) -> tuple[int, int]:
     return (m * (raw >> 32)) >> 32, rho(raw & 0xFFFFFFFF, 32)
 
 
-def split_hash_array(raw: np.ndarray, m: int, out: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`split_hash`; returns int64 (buckets, ranks).
+def bucket_array(raw: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The buckets of :func:`split_hash` of each digest, as int64.
 
-    ``raw`` is left as it is.  The pair goes to ``out``, two int64 arrays
-    of ``raw``'s shape that do not overlap it, if given.  Both bucket
-    formulas leave the top bit clear, so the buckets are computed on
-    their array viewed as uint64.
+    ``raw`` is left as it is.  The buckets go to ``out``, an int64 array
+    of ``raw``'s shape that does not overlap it, if given.  Both bucket
+    formulas leave the top bit clear, so they are computed on the array
+    viewed as uint64.
     """
     b = top_bits_precision(m)
     if b is None:
         m = check_registers(m)
     raw = raw.astype(np.uint64, copy=False)
-    if out is None:
-        out = np.empty(raw.shape, np.int64), np.empty(raw.shape, np.int64)
-    bucket, rank = (_checked_out(a, raw.shape, np.int64) for a in out)
+    bucket = np.empty(raw.shape, np.int64) if out is None else _checked_out(out, raw.shape, np.int64)
     lanes = bucket.view(np.uint64)
     if b is not None:
-        w = 64 - b
-        np.right_shift(raw, _U(w), out=lanes)
+        np.right_shift(raw, _U(64 - b), out=lanes)
     else:
-        w = 32
         np.right_shift(raw, _U(32), out=lanes)
         lanes *= _U(m)
         lanes >>= _U(32)
-    rho_array(raw, w, out=rank)
-    return bucket, rank
+    return bucket
+
+
+def split_hash_array(raw: np.ndarray, m: int, out: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`split_hash`; returns int64 (buckets, ranks).
+
+    It is :func:`bucket_array` and :func:`rho_array` at
+    :func:`geo_width` of ``m``.  ``raw`` is left as it is.  The pair goes
+    to ``out``, two int64 arrays of ``raw``'s shape that do not overlap
+    it, if given.
+    """
+    bucket, rank = (None, None) if out is None else out
+    return bucket_array(raw, m, bucket), rho_array(raw, geo_width(m), rank)
 
 
 def geo_width(m: int) -> int:

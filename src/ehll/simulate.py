@@ -13,11 +13,20 @@ payload bits within one register of rounding: two-field kinds keep
 for ``hll``, ``5/4 * m0`` for ``hll-tc``).
 
 Trials are vectorized: each trial feeds the production sketch one stream
-segment per checkpoint through the batch path, and reads the estimate,
-one sum of table-looked-up terms over the cells.  A segment shorter
-than ``m`` costs its length; a longer one, such as the 2,000 pairs of a
-checkpoint at n = 10^5 and m = 1024, also takes a few passes over the
-cells to set the neighbor bits, cheaper than masks over its pairs.  A
+segment per checkpoint through the batch path and copies the cells after
+each segment into a stack of snapshots.  A stack holds at most
+:data:`_STACK_CELLS` (2^13) cells, 8 rows at m = 1024 and 6 at 1195 and
+1280, and is estimated in one pass when it fills: one table lookup of
+the terms and one row-by-row sum over the whole stack, one bias scaling,
+and linear counting for the rows below ``2.5 m``
+(:func:`~ehll.sketches.estimate_rows`).  Each row is summed by the same
+pairwise loop as the cells alone, so every checkpoint's estimate has the
+bits of the sketch's ``estimate()``, and the budget keeps the stack's
+index and terms near 128 KB however many checkpoints there are.  A
+segment shorter than ``m`` costs its length; a longer one, such as the
+2,000 pairs of a checkpoint at n = 10^5 and m = 1024, also takes a few
+passes over the cells to set the neighbor bits, cheaper than masks over
+its pairs.  A
 TailCut batch steps alone only at a clamp and promotes its base at most
 once per run.  A trial neither decodes nor packs a register: batches,
 scalar steps and estimates work on the cells the sketch owns, which are
@@ -35,10 +44,12 @@ array kernels of :mod:`ehll.hashing`.  Per-trial RNG streams are derived
 from ``(seed, trial index)`` alone, so every kind of a call sees the
 same 64-bit hashes.  One call cuts its trials evenly into one block per
 worker, and a block runs its trials for every kind of the call: it
-hashes each trial's stream once, splits the hashes once per distinct
-register count ``m`` (matched-memory kinds differ in ``m``), and hands
-that read-only split to each kind of that ``m`` before the next ``m`` is
-split.  The calling process runs the first block itself, and each
+hashes each trial's stream once, takes the ranks once per distinct rank
+width (every ``m`` that is not a power of two reads the low 32 bits, so
+the matched-memory ``hll``@1195 and ``hll-tc``@1280 share one rank
+array) and the buckets once per distinct register count ``m``, and
+hands that read-only split to each kind of that ``m`` before the next
+``m`` is split.  The calling process runs the first block itself, and each
 other block runs in a child process of its own, forked after every
 kind's bias constant is cached and before the caller starts its block;
 a child sends its block's estimates back over a one-way pipe, and
@@ -48,11 +59,11 @@ so any worker count yields the same aggregate rows as a sequential run.
 Each block owns one workspace of three ``n``-word arrays (hashes,
 bucket, rank) and the ranks again as ``n`` bytes, in the cells' dtype,
 about 2.5 MB at n = 10^5 and 25 MB at n = 10^6, which it allocates
-before its first trial.  Each split's ranks are cast to the cells' dtype
-once, for every kind of its m, so no union casts them again.  Every
-trial is streamed, hashed and split into it, so a trial after the first
-writes to no fresh pages, and a process's peak stays at what one trial's
-fresh arrays took.  Nothing of it outlives the block, and no state is
+before its first trial.  The ranks are cast to the cells' dtype once per
+rank width, for every kind of every m of that width, so no union casts
+them again.  Every trial is streamed, hashed and split into it, so a
+trial after the first writes to no fresh pages, and a process's peak
+stays at what one trial's fresh arrays took.  Nothing of it outlives the block, and no state is
 kept between calls.
 """
 
@@ -66,9 +77,12 @@ from .hashing import (
     MASK64,
     _SEED_TWEAK,
     as_integer,
+    bucket_array,
     check_precision,
+    geo_width,
     hash64_u64_array,
     mix64,
+    rho_array,
     split_hash_array,
     stream_u64,
 )
@@ -168,15 +182,23 @@ def martingale_trace(kind: str, m: int, bucket: np.ndarray, geo: np.ndarray,
     return np.concatenate(([0.0], e))[idx], np.concatenate(([0.0], v))[idx]
 
 
+#: Cells in one stack of checkpoint snapshots, which a trial estimates in one
+#: pass: 8 rows at m = 1024, 6 at 1195 and 1280, one from m = 2^13 up.  Its
+#: index and terms then take about 128 KB, however many checkpoints there are.
+_STACK_CELLS = 1 << 13
+
+
 def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
               trial: int, martingale: bool, asymptotic: bool, *,
               pairs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Checkpoint estimates for one seeded trial of one sketch configuration.
 
-    The sketch takes the stream one segment per checkpoint; a martingale
-    trial is :func:`martingale_trace`.  ``pairs``, if given, must be the
-    trial's ``(bucket, rank)`` split for ``m``, which this call then
-    reads instead of hashing the stream itself.
+    The sketch takes the stream one segment per checkpoint, and its
+    state after each segment is copied into a stack of snapshots of at
+    most :data:`_STACK_CELLS` cells, which is estimated in one pass when
+    it fills; a martingale trial is :func:`martingale_trace`.  ``pairs``,
+    if given, must be the trial's ``(bucket, rank)`` split for ``m``,
+    which this call then reads instead of hashing the stream itself.
     """
     if pairs is None:
         # nested, so the hashes are freed before the sketch allocates
@@ -185,12 +207,19 @@ def run_trial(kind: str, m: int, n: int, positions: np.ndarray, seed: int,
     if martingale:
         return martingale_trace(kind, m, bucket, geo, positions)[0]
     sketch = SKETCHES[kind](m=m, seed=seed)
+    rows = min(len(positions), max(1, _STACK_CELLS // m))
+    stacks = [np.empty((rows, *a.shape), a.dtype) for a in sketch._snapshot()]
     out = np.empty(len(positions))
     prev = 0
-    for i, pos in enumerate(positions):
-        sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
-        out[i] = sketch.estimate(asymptotic=asymptotic).value
-        prev = pos
+    for lo in range(0, len(positions), rows):
+        stop = positions[lo:lo + rows]
+        for row, pos in enumerate(stop):
+            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            prev = pos
+            for stack, a in zip(stacks, sketch._snapshot()):
+                stack[row] = a
+        out[lo:lo + len(stop)] = sketch._estimate_snapshots(
+            *(stack[:len(stop)] for stack in stacks), asymptotic=asymptotic)
     return out
 
 
@@ -201,34 +230,39 @@ def _trial_hashes(n: int, seed: int, trial: int, out: np.ndarray | None = None) 
 
 
 def _trial_block(args: tuple[SimulationConfig, int, int]) -> tuple[int, dict[str, np.ndarray]]:
-    """Trials ``[lo, hi)`` of every kind: one hash per trial, one split per m.
+    """Trials ``[lo, hi)`` of every kind: one hash per trial, one rank pass per width.
 
     The block allocates one workspace (hashes, bucket, rank) before its
     first trial and hashes every trial into it, so trials after the first
-    allocate nothing of the stream's size.  Each split is read-only to
-    the kinds of its m, which share it, and the next m overwrites it.
+    allocate nothing of the stream's size.  A trial's ranks are taken
+    once per distinct rank width (every m that is not a power of two
+    reads 32 low bits) and its buckets once per m; the kinds of one m
+    share that read-only split, and the next m or width overwrites it.
     """
     config, lo, hi = args
     n, positions = config.n, config.checkpoint_positions()
     hashes = np.empty(n, np.uint64)
     bucket, rank = np.empty(n, np.int64), np.empty(n, np.int64)
-    cell_rank = np.empty(n, CELL)  # the ranks in the cells' dtype, cast once per split
+    cell_rank = np.empty(n, CELL)  # the ranks in the cells' dtype, cast once per width
     pairs = bucket.view(), cell_rank.view()
     for arr in pairs:
         arr.setflags(write=False)
-    by_m: dict[int, list[str]] = {}
+    by_width: dict[int, dict[int, list[str]]] = {}
     for kind in config.kinds:
-        by_m.setdefault(config.registers_for(kind), []).append(kind)
+        m = config.registers_for(kind)
+        by_width.setdefault(geo_width(m), {}).setdefault(m, []).append(kind)
     blocks = {kind: np.empty((hi - lo, len(positions))) for kind in config.kinds}
     for t in range(lo, hi):
         _trial_hashes(n, config.seed, t, out=hashes)
-        for m, kinds in by_m.items():
-            split_hash_array(hashes, m, out=(bucket, rank))
+        for width, by_m in by_width.items():
+            rho_array(hashes, width, out=rank)
             cell_rank[:] = rank
-            for kind in kinds:
-                blocks[kind][t - lo] = run_trial(kind, m, n, positions, config.seed, t,
-                                                 config.martingale, config.asymptotic,
-                                                 pairs=pairs)
+            for m, kinds in by_m.items():
+                bucket_array(hashes, m, out=bucket)
+                for kind in kinds:
+                    blocks[kind][t - lo] = run_trial(kind, m, n, positions, config.seed, t,
+                                                     config.martingale, config.asymptotic,
+                                                     pairs=pairs)
     return lo, blocks
 
 
@@ -316,14 +350,16 @@ def simulate(config: SimulationConfig) -> list[SimulationRow]:
         m = config.registers_for(kind)
         mem = SKETCHES[kind](m=m, seed=config.seed).memory_bits()
         label = f"martingale-{kind}" if config.martingale else kind
-        for i, pos in enumerate(positions):
-            rel = est[:, i] / pos - 1.0
+        # one contiguous row per checkpoint, reduced pairwise like the column it copies
+        by_pos = est.T.copy()
+        rel = by_pos / positions[:, None] - 1.0
+        mean_est = by_pos.mean(axis=1)
+        rel_bias = rel.mean(axis=1)
+        rel_rmse = np.sqrt(np.mean(rel * rel, axis=1))
+        for i, pos in enumerate(positions.tolist()):
             rows.append(SimulationRow(
-                sketch=label, m=m, memory_bits=mem, n=int(pos),
-                mean_est=float(est[:, i].mean()),
-                rel_bias=float(rel.mean()),
-                rel_rmse=float(np.sqrt(np.mean(rel * rel))),
-                trials=config.trials,
+                sketch=label, m=m, memory_bits=mem, n=pos, mean_est=float(mean_est[i]),
+                rel_bias=float(rel_bias[i]), rel_rmse=float(rel_rmse[i]), trials=config.trials,
             ))
     rows.sort(key=lambda r: (r.sketch, r.n))
     return rows

@@ -141,6 +141,31 @@ def bias_constant(m: int, neighbor_bit: bool, asymptotic: bool = False) -> float
     return 1.0 / (2.0 * analysis.LN2) if asymptotic else analysis.alpha_m(m)
 
 
+def _raw_estimates(m: int, k: np.ndarray, x: np.ndarray | None, asymptotic: bool):
+    """Raw estimate of each row of ``m`` cells along the last axis (a scalar for one row).
+
+    It is the :func:`bias_constant` times ``m^2`` over the sum of the
+    row's :func:`cell_terms`.  Each row of a C-contiguous stack is summed
+    by the same pairwise loop as one row alone, so a row's estimate has
+    the same bits in a stack as alone.
+    """
+    totals = np.add.reduce(cell_terms(k, x), axis=-1)
+    return bias_constant(m, x is not None, asymptotic) * m * m * (1.0 / totals)
+
+
+def _small_range(m: int, k: np.ndarray, raw: float) -> RawEstimate:
+    """The estimate of one row of ranks ``k`` whose raw estimate is ``raw``.
+
+    Below ``LC_THRESHOLD * m`` a row with an empty cell takes linear
+    counting of its empty cells; any other row keeps ``raw``.
+    """
+    if raw < LC_THRESHOLD * m:
+        v = int(np.count_nonzero(np.asarray(k) == 0))
+        if v > 0:
+            return RawEstimate(analysis.linear_counting(m, v), "linear-counting")
+    return RawEstimate(raw, "raw")
+
+
 def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
                    asymptotic: bool = False) -> RawEstimate:
     """Bias-corrected estimate of ``m`` explicit cells, linear counting below 2.5 m.
@@ -150,13 +175,24 @@ def estimate_cells(m: int, k: np.ndarray, x: np.ndarray | None = None,
     over the sum of the cells' :func:`cell_terms`.  Every rank sketch's
     ``estimate`` is this function of its cells.
     """
-    total = float(np.add.reduce(cell_terms(k, x)))
-    raw = bias_constant(m, x is not None, asymptotic) * m * m * (1.0 / total)
-    if raw < LC_THRESHOLD * m:
-        v = int(np.count_nonzero(np.asarray(k) == 0))
-        if v > 0:
-            return RawEstimate(analysis.linear_counting(m, v), "linear-counting")
-    return RawEstimate(raw, "raw")
+    return _small_range(m, k, float(_raw_estimates(m, k, x, asymptotic)))
+
+
+def estimate_rows(m: int, k: np.ndarray, x: np.ndarray | None = None,
+                  asymptotic: bool = False) -> np.ndarray:
+    """:func:`estimate_cells` of each row of a stack of cells, in one pass.
+
+    ``k`` (and ``x``) hold one row of ``m`` cells per estimate, and row
+    ``i`` of the result has the bits of ``estimate_cells(m, k[i], x[i])``:
+    the terms of the whole stack are summed row by row in one reduction,
+    and only the rows whose raw estimate is below ``LC_THRESHOLD * m``
+    are read again, for linear counting.
+    """
+    k = np.asarray(k)
+    est = _raw_estimates(m, k, x, asymptotic)
+    for i in np.flatnonzero(est < LC_THRESHOLD * m).tolist():  # the rows that may switch
+        est[i] = _small_range(m, k[i], float(est[i])).value
+    return est
 
 
 def estimate_bitmap(bitmap: np.ndarray, m: int, lanes: int) -> RawEstimate:
@@ -347,6 +383,12 @@ class PcsaSketch(_SketchBase):
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         """Bitmap estimate; ``asymptotic`` is ignored (``PCSA_PHI`` has no finite-m form)."""
         return estimate_bitmap(self.bitmaps.buffer, self.m, self.L)
+
+    def _snapshot(self) -> tuple[np.ndarray, ...]:
+        return (self.bitmaps.buffer,)
+
+    def _estimate_snapshots(self, bitmaps: np.ndarray, asymptotic: bool = False) -> np.ndarray:
+        return np.array([estimate_bitmap(row, self.m, self.L).value for row in bitmaps])
 
     def merge(self, other: "PcsaSketch") -> "PcsaSketch":
         self._check_mergeable(other)
@@ -571,6 +613,15 @@ class _RankSketch(_SketchBase):
 
     def estimate(self, asymptotic: bool = False) -> RawEstimate:
         return estimate_cells(self.m, self._k, self._x, asymptotic)
+
+    def _snapshot(self) -> tuple[np.ndarray, ...]:
+        """The arrays ``estimate`` reads, live: a caller that keeps them copies them."""
+        return (self._k, self._x) if self.neighbor_bit else (self._k,)
+
+    def _estimate_snapshots(self, k: np.ndarray, x: np.ndarray | None = None,
+                            asymptotic: bool = False) -> np.ndarray:
+        """``estimate().value`` of each row of stacked ``_snapshot()`` arrays, to the bit."""
+        return estimate_rows(self.m, k, x, asymptotic)
 
     def merge(self, other):
         self._check_mergeable(other)

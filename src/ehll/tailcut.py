@@ -128,9 +128,11 @@ class _TailCutBase(_RankSketch):
         super()._load(k, x)
 
     def _run_end(self, bucket: np.ndarray, geo: np.ndarray, reads_q: bool) -> int:
-        # only a rank above the ceiling can clamp, under this base or any later one
-        above = np.flatnonzero(geo > self.base + OFFSET_MAX)
-        end = int(above[0]) if len(above) else len(bucket)
+        # only a rank above the ceiling can clamp, under this base or any later one;
+        # such a rank is rare, so one reduction rules it out before any scan
+        end = len(bucket)
+        if end and geo.max() > self.base + OFFSET_MAX:
+            end = int(np.flatnonzero(geo > self.base + OFFSET_MAX)[0])
         # a saturated cell's term moves with the base, which holds until every
         # zero-offset cell has been lifted
         if reads_q and end >= self._zero_offsets:  # each element lifts at most one

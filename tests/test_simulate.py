@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ehll.hashing import hash64_u64_array, split_hash_array, stream_u64
+from ehll.hashing import geo_width, hash64_u64_array, split_hash_array, stream_u64
 from ehll.martingale import MartingaleCounter
 from ehll.simulate import (
     CSV_HEADER,
@@ -113,6 +113,33 @@ def test_run_trial_matches_reference_sketch(kind):
         prev = pos
         expected.append(ref.estimate().value)
     assert np.allclose(got, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["pcsa", "hll", "ehll", "hll-tc", "ehll-tc"])
+@pytest.mark.parametrize("m, checkpoints", [(1024, 5), (1024, 8), (1024, 21), (1195, 13),
+                                            (1 << 14, 3), (16, 4)])
+def test_run_trial_equals_an_estimate_per_checkpoint(kind, m, checkpoints):
+    """Stacked checkpoint estimates are the sketch's own estimates, bit for bit.
+
+    A stack holds 8 rows at m = 1024 and 6 at 1195, so the counts fall
+    below, at and above one stack; the first checkpoints are in the
+    linear-counting range, and at m = 16 the TailCut base rises.
+    """
+    from ehll.serialization import SKETCHES
+
+    n, seed, trial = 40_000, 3, 2
+    positions = SimulationConfig(kinds=(kind,), n=n, checkpoints=checkpoints
+                                 ).checkpoint_positions()
+    bucket, geo = split_hash_array(
+        hash64_u64_array(stream_u64(n, trial_stream_seed(seed, trial)), seed), m)
+    for asymptotic in (False, True):
+        got = run_trial(kind, m, n, positions, seed, trial, False, asymptotic)
+        sketch, want, prev = SKETCHES[kind](m=m, seed=seed), [], 0
+        for pos in positions:
+            sketch._insert_bg_batch(bucket[prev:pos], geo[prev:pos])
+            prev = pos
+            want.append(sketch.estimate(asymptotic=asymptotic).value)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("kind", ["hll", "ehll", "hll-tc", "ehll-tc"])
@@ -236,6 +263,27 @@ def test_simulate_rows_shape_and_invariants():
         assert r.memory_bits in (7 * 16, 6 * 16)
 
 
+def test_rows_are_the_per_checkpoint_column_reductions():
+    """Whole-matrix aggregation has the bits of one reduction per checkpoint column.
+
+    Past 8 trials a pairwise sum and a running sum differ in the last
+    bits, so 37 trials tell them apart.
+    """
+    from ehll.simulate import _estimates
+
+    cfg = SimulationConfig(kinds=("ehll", "hll-tc"), b=4, n=400, trials=37, checkpoints=5,
+                           seed=3)
+    estimates = _estimates(cfg)
+    got = {(r.sketch, r.n): r for r in simulate(cfg)}
+    for kind, est in estimates.items():
+        for i, pos in enumerate(cfg.checkpoint_positions()):
+            rel = est[:, i] / pos - 1.0
+            row = got[kind, int(pos)]
+            assert row.mean_est == float(est[:, i].mean())
+            assert row.rel_bias == float(rel.mean())
+            assert row.rel_rmse == float(np.sqrt(np.mean(rel * rel)))
+
+
 def test_simulate_deterministic_and_worker_independent():
     cfg = SimulationConfig(kinds=("ehll",), b=4, n=300, trials=6,
                            checkpoints=2, seed=11)
@@ -301,15 +349,21 @@ def test_one_stream_hash_per_trial_and_one_split_per_m(name, monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    for fn in ("stream_u64", "hash64_u64_array", "split_hash_array", "run_trial"):
+    for fn in ("stream_u64", "hash64_u64_array", "split_hash_array", "rho_array",
+               "bucket_array", "run_trial"):
         monkeypatch.setattr(sim, fn, counted(fn, getattr(sim, fn)))
     cfg = SimulationConfig(b=4, n=300, trials=9, checkpoints=3, seed=13,
                            **_MULTI_KIND[name])
     sim._estimates(cfg)
-    distinct_m = len({cfg.registers_for(kind) for kind in cfg.kinds})
+    # a split is one rank pass per rank width, shared by every m of that width
+    # (all m that are not powers of two read 32 low bits), and one bucket pass per m
+    ms = {cfg.registers_for(kind) for kind in cfg.kinds}
+    widths = {geo_width(m) for m in ms}
     assert calls == {"stream_u64": cfg.trials, "hash64_u64_array": cfg.trials,
-                     "split_hash_array": cfg.trials * distinct_m,
+                     "rho_array": cfg.trials * len(widths),
+                     "bucket_array": cfg.trials * len(ms),
                      "run_trial": cfg.trials * len(cfg.kinds)}
+    assert len(widths) < len(ms) or name != "matched"  # hll@1195 and hll-tc@1280 share one
     assert len(writable) == 2 * calls["run_trial"] and not any(writable)
 
 

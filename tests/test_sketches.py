@@ -19,8 +19,11 @@ from ehll.sketches import (
     PcsaSketch,
     REGISTER_WIDTH,
     cell_indicator,
+    CELL,
     cell_terms,
     estimate_bitmap,
+    estimate_cells,
+    estimate_rows,
 )
 from ehll.tailcut import OFFSET_MAX
 
@@ -196,14 +199,86 @@ def test_cell_terms_widen_a_narrow_rank_before_doubling(dtype):
     for x in (0, 1):
         want = cell_terms(k, np.full(len(k), x))
         assert _bits(cell_terms(k.astype(dtype), np.full(len(k), x, dtype))) == _bits(want)
+    # a stack of rows, as the campaign estimates its checkpoints, is read the same way
+    stack = np.stack([k, k[::-1]])
+    assert _bits(cell_terms(stack.astype(dtype))) == _bits(cell_terms(stack))
+    for x in (0, 1):
+        want = cell_terms(stack, np.full(stack.shape, x))
+        assert _bits(cell_terms(stack.astype(dtype), np.full(stack.shape, x, dtype))) == _bits(want)
     for past in (1 << REGISTER_WIDTH, 70, 127, 130, 255, 20_000):
         if past > np.iinfo(dtype).max:
             continue
-        with pytest.raises(IndexError):
-            cell_terms(np.array([past], dtype))
-        for x in (0, 1):
+        for ranks in ([past], [[3, 2], [1, past]]):
+            ranks = np.array(ranks, dtype)
             with pytest.raises(IndexError):
-                cell_terms(np.array([past], dtype), np.array([x], dtype))
+                cell_terms(ranks)
+            for x in (0, 1):
+                with pytest.raises(IndexError):
+                    cell_terms(ranks, np.full(ranks.shape, x, dtype))
+
+
+_RANK_KINDS = ("hll", "ehll", "hll-tc", "ehll-tc")
+_STACK_M = (16, 17, 1024, 1195, 1280, 1 << 14)
+
+
+@st.composite
+def cell_stacks(draw):
+    """(m, k, x): a stack of rows of ``m`` cells of one rank kind, ``x`` None without bits.
+
+    Each row draws its lowest rank (a TailCut base, or 0), how far its ranks
+    spread above it (up to the offset ceiling for TailCut) and, from base 0,
+    a share of empty cells: enough rows of small ranks fall below 2.5 m,
+    with and without an empty cell, for linear counting and its refusal.
+    """
+    kind = draw(st.sampled_from(_RANK_KINDS))
+    m = draw(st.sampled_from(_STACK_M))
+    sketch = SKETCHES[kind](m=m)
+    top = sketch.width + 1  # the largest rank the hash gives at this m
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.empty((draw(st.integers(1, 9)), m), CELL)
+    for row in k:
+        base = draw(st.sampled_from([0, 0, 1, 5, top - 10]))
+        spread = draw(st.sampled_from([0, 1, 3, OFFSET_MAX if kind.endswith("-tc") else top]))
+        row[:] = np.minimum(base + rng.integers(0, spread + 1, m), top)
+        if base == 0:
+            row[rng.random(m) < draw(st.sampled_from([0.0, 0.2, 0.9, 1.0]))] = 0
+    x = rng.integers(0, 2, k.shape).astype(CELL) if sketch.neighbor_bit else None
+    return m, k, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=cell_stacks(), asymptotic=st.booleans())
+def test_each_stacked_estimate_is_the_estimate_of_its_row(stack, asymptotic):
+    m, k, x = stack
+    got = estimate_rows(m, k, x, asymptotic)
+    want = [estimate_cells(m, k[i], None if x is None else x[i], asymptotic).value
+            for i in range(len(k))]
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("kind", _RANK_KINDS)
+@pytest.mark.parametrize("m", _STACK_M)
+def test_stacked_snapshots_of_a_growing_sketch_are_its_estimates(kind, m):
+    # from the linear-counting range to a TailCut base above 0 at the smaller m
+    sketch = SKETCHES[kind](m=m, seed=4)
+    stream = stream_u64(40 * m, 19)
+    stops = [m // 4, m, 2 * m, 3 * m, 6 * m, 40 * m]
+    snapshots, want, regimes = [], {False: [], True: []}, set()
+    prev = 0
+    for stop in stops:
+        sketch.insert_batch(stream[prev:stop])
+        prev = stop
+        snapshots.append([a.copy() for a in sketch._snapshot()])
+        for asymptotic in want:
+            est = sketch.estimate(asymptotic)
+            want[asymptotic].append(est.value)
+            regimes.add(est.regime)
+    assert regimes == {"raw", "linear-counting"}
+    if kind.endswith("-tc") and m < 1024:
+        assert sketch.base > 0
+    stacks = [np.stack(arrays) for arrays in zip(*snapshots)]
+    for asymptotic, values in want.items():
+        assert _bits(sketch._estimate_snapshots(*stacks, asymptotic=asymptotic)) == _bits(values)
 
 
 def test_hll_indicator_values():
